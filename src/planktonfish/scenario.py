@@ -13,7 +13,6 @@ outcomes onto documented exit codes:
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +24,8 @@ from .certificate import (CertificateOptions, LKCertificate, assemble_C,
                           build_certificate)
 from .errors import CertificateError, DomainError, IntegrationError, ParameterError
 from .model import ModelParams, classify_equilibria, derive_params
-from .simulate import History, check_positivity_boundedness, integrate
+from .simulate import (History, check_positivity_boundedness, default_step,
+                       integrate)
 from .spectrum import lemma_classify
 
 EXIT_OK = 0
@@ -138,14 +138,6 @@ def build_history(scenario: Scenario, p: ModelParams) -> History:
         raise ConfigError(f"invalid history: {exc}") from exc
 
 
-def _solver_step(scenario: Scenario, p: ModelParams) -> float:
-    base = min(v for v in (p.tau1, p.tau2, 0.01) if v > 0.0)
-    h0 = base / scenario.step_divisor
-    if p.tau_min > 0.0:
-        return p.tau_min / math.ceil(p.tau_min / h0)
-    return h0
-
-
 def run_scenario(config_path, out_dir=None) -> tuple[int, dict[str, Path]]:
     """Run the full pipeline for one scenario config; returns (exit code, files)."""
     try:
@@ -211,7 +203,7 @@ def run_loaded_scenario(scenario: Scenario,
         return EXIT_INPUT, emitted
     try:
         traj = integrate(p, hist, scenario.horizon,
-                         step=_solver_step(scenario, p))
+                         step=default_step(p, scenario.step_divisor))
     except (DomainError, IntegrationError) as exc:
         print(f"input error: {exc}")
         return EXIT_INPUT, emitted
@@ -340,7 +332,7 @@ def _summary_row(scenario: Scenario, value, code: int) -> list[str]:
         admissible = str(theorem.envelopes_valid)
         if theorem.envelopes_valid:
             traj = integrate(p, hist, scenario.horizon,
-                             step=_solver_step(scenario, p))
+                             step=default_step(p, scenario.step_divisor))
             env = verify.check_envelope(traj, cert, theorem)
             worst = f"{min(env.worst_margin):.17g}"
     except (CertificateError, DomainError, ConfigError, IntegrationError):

@@ -1,11 +1,12 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from planktonfish import (DomainError, History, check_positivity_boundedness,
-                          default_step, derive_params, integrate,
-                          plankton_only_point)
+from planktonfish import (DomainError, History, IntegrationError,
+                          check_positivity_boundedness, default_step,
+                          derive_params, integrate, plankton_only_point)
 
 
 @pytest.fixture
@@ -16,6 +17,113 @@ def logistic_params():
 
 def _logistic(x0, r, K, t):
     return x0 * K * math.exp(r * t) / (K + x0 * (math.exp(r * t) - 1.0))
+
+
+def _reference_integrate(p, hist, t_end, step=None):
+    """Per-step RK4 with one scalar Hermite lookup per delayed value.
+
+    The straightforward method of steps that ``integrate`` must reproduce
+    bit for bit; returns ``(states, derivs)``.
+    """
+    n = math.ceil(t_end / (default_step(p) if step is None else step)
+                  - 1e-12)
+    h = t_end / n
+    r, K, c1, c2 = p.r, p.K, p.c1, p.c2
+    d1, d2, e1, e2 = p.d1, p.d2, p.e1, p.e2
+    tau1, tau2 = p.tau1, p.tau2
+    states = [tuple(float(v) for v in hist(0.0))]
+    derivs = []
+
+    def lookup(s, completed):
+        # value at time s: history for s < 0, Hermite on completed nodes else
+        if s < 0.0:
+            return hist(s)
+        k = int(s / h)
+        if k >= completed:
+            return states[completed]
+        u = s / h - k
+        u2, u3 = u * u, u * u * u
+        h00 = 2.0 * u3 - 3.0 * u2 + 1.0
+        h10 = u3 - 2.0 * u2 + u
+        h01 = -2.0 * u3 + 3.0 * u2
+        h11 = u3 - u2
+        a, b = states[k], states[k + 1]
+        fa, fb = derivs[k], derivs[k + 1]
+        return (h00 * a[0] + h10 * h * fa[0] + h01 * b[0] + h11 * h * fb[0],
+                h00 * a[1] + h10 * h * fa[1] + h01 * b[1] + h11 * h * fb[1],
+                h00 * a[2] + h10 * h * fa[2] + h01 * b[2] + h11 * h * fb[2])
+
+    def f(t, state, completed):
+        x, y, z = state
+        if tau1 > 0.0:
+            x1, y1, _ = lookup(t - tau1, completed)
+        else:
+            x1, y1 = x, y
+        if tau2 > 0.0:
+            _, y2, z2 = lookup(t - tau2, completed)
+        else:
+            y2, z2 = y, z
+        return (r * x * (1.0 - x / K) - c1 * x * y,
+                -d1 * y + e1 * c1 * x1 * y1 - c2 * y * z,
+                -d2 * z + e2 * c2 * y2 * z2)
+
+    for i in range(n):
+        t = i * h
+        y0 = states[i]
+        k1 = f(t, y0, i)
+        derivs.append(k1)
+        k2 = f(t + 0.5 * h, tuple(y0[j] + 0.5 * h * k1[j] for j in range(3)), i)
+        k3 = f(t + 0.5 * h, tuple(y0[j] + 0.5 * h * k2[j] for j in range(3)), i)
+        k4 = f(t + h, tuple(y0[j] + h * k3[j] for j in range(3)), i)
+        nxt = tuple(y0[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+                    for j in range(3))
+        if not all(math.isfinite(v) for v in nxt):
+            raise IntegrationError(f"non-finite state at t = {t + h:g}")
+        states.append(nxt)
+    derivs.append(f(n * h, states[n], n))
+    return np.array(states), np.array(derivs)
+
+
+def _readme_params(tau1=0.1, tau2=0.1):
+    return derive_params(r=1.0, K=1.0, c1=1.0, c2=1.0, d1=1.5, d2=1.0,
+                         b1=3.0, b2=1.0, tau1=tau1, tau2=tau2)
+
+
+def _tabulated(p):
+    thetas = np.linspace(-p.tau_max, 0.0, 25)
+    values = np.column_stack([0.5 + 0.1 * np.cos(7.0 * thetas),
+                              0.3 + 2.0 * thetas ** 2,
+                              0.1 + 0.0 * thetas])
+    return History.tabulated(p, thetas, values)
+
+
+# name -> (params, history builder, horizon, explicit step or None)
+_REFERENCE_CASES = {
+    "readme": (_readme_params(), lambda p: History.equilibrium_plus_constant(
+        p, (1.0e-5, 5.0e-6, 1.0e-5)), 50.0, None),
+    "unequal_delays": (_readme_params(0.1, 0.1234),
+                       lambda p: History.constant(p, (0.5, 0.3, 0.2)),
+                       3.0, None),
+    "horizon_off_grid": (_readme_params(),
+                         lambda p: History.constant(p, (0.5, 0.3, 0.2)),
+                         1.2345, None),
+    "horizon_below_delay": (_readme_params(),
+                            lambda p: History.constant(p, (0.5, 0.3, 0.2)),
+                            0.001, None),
+    "tau1_zero": (_readme_params(0.0, 0.1),
+                  lambda p: History.constant(p, (0.5, 0.3, 0.2)), 2.0, None),
+    "tau2_zero": (_readme_params(0.1, 0.0),
+                  lambda p: History.constant(p, (0.5, 0.3, 0.2)), 2.0, None),
+    "both_zero": (_readme_params(0.0, 0.0),
+                  lambda p: History.constant(p, (0.5, 0.3, 0.2)), 2.0, None),
+    "sine_history": (_readme_params(0.1, 0.1234),
+                     lambda p: History.equilibrium_plus_sine(
+                         p, (0.02, 0.01, 0.0), 7.0, phase=0.3), 3.0, None),
+    "tabulated_history": (_readme_params(0.05, 0.3), _tabulated, 2.0, None),
+    "explicit_step": (_readme_params(0.1, 0.1234),
+                      lambda p: History.constant(p, (0.5, 0.3, 0.2)),
+                      2.0, 0.1 / 37),
+}
 
 
 class TestHistory:
@@ -141,6 +249,28 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(case2_params, hist, 1.0, step=-0.001)
 
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_matches_per_step_reference(self, case):
+        p, make_history, t_end, step = _REFERENCE_CASES[case]
+        hist = make_history(p)
+        states, derivs = _reference_integrate(p, hist, t_end, step)
+        traj = integrate(p, hist, t_end, step=step)
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.derivs, derivs)
+
+    @pytest.mark.parametrize("x_start, message", [
+        (1e150, "non-finite state at t = 0.0005"),
+        (6e3, "non-finite state at t = 0.003"),
+    ])
+    def test_non_finite_state_raises(self, case2_params, x_start, message):
+        hist = History.constant(case2_params, (x_start, 0.1, 0.1))
+        with pytest.raises(IntegrationError) as expected:
+            _reference_integrate(case2_params, hist, 50.0)
+        assert str(expected.value) == message
+        with pytest.raises(IntegrationError) as raised:
+            integrate(case2_params, hist, 50.0)
+        assert str(raised.value) == message
+
     def test_deterministic_rerun(self, case2_params):
         hist = History.equilibrium_plus_sine(case2_params, (0.02, 0.01, 0.0),
                                              2.0)
@@ -196,13 +326,26 @@ class TestDenseOutput:
         header = path.read_text().splitlines()[0]
         assert header == "t,x,y,z"
 
+        traj.to_csv(path, stride=7)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "x", "y", "z"])
+            for i in range(0, traj.states.shape[0], 7):
+                writer.writerow([f"{traj.times[i]:.17g}"]
+                                + [f"{v:.17g}" for v in traj.states[i]])
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert rows.shape[0] == len(range(0, traj.states.shape[0], 7))
+        assert path.read_bytes() == expected.read_bytes()
+
 
 class TestPositivity:
     def test_default_step_divides_delay(self, case2_params):
-        h = default_step(case2_params)
-        n = case2_params.tau_min / h
-        assert abs(n - round(n)) <= 1e-9
-        assert h <= case2_params.tau_min / 20 * (1 + 1e-12)
+        for divisor in (20, 40):
+            h = default_step(case2_params, divisor)
+            n = case2_params.tau_min / h
+            assert abs(n - round(n)) <= 1e-9
+            assert h <= case2_params.tau_min / divisor * (1 + 1e-12)
 
     def test_equilibrium_scenario(self, case2_params):
         hist = History.equilibrium_plus_constant(case2_params, (0.0, 0.0, 0.0))
