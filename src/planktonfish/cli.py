@@ -125,7 +125,11 @@ def main(argv=None) -> int:
         code, _ = scenario_mod.run_scenario(args.config, out_dir=args.out)
         return code
     if args.command == "sweep":
-        values = [v for v in args.values.split(",") if v.strip()]
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip()]
+        except ValueError as exc:
+            print(f"input error: --values: {exc}")
+            return EXIT_INPUT
         try:
             code, summary = scenario_mod.sweep(args.config, args.key, values,
                                                out_dir=args.out)

@@ -27,6 +27,7 @@ from .model import ModelParams, classify_equilibria, derive_params
 from .simulate import (History, check_positivity_boundedness, default_step,
                        integrate)
 from .spectrum import lemma_classify
+from .verify import EnvelopeReport, TheoremReport
 
 EXIT_OK = 0
 EXIT_INADMISSIBLE = 2
@@ -60,6 +61,18 @@ def _require(mapping, key, where):
     if key not in mapping:
         raise ConfigError(f"missing key {key!r} in {where}")
     return mapping[key]
+
+
+def _positive_int(mapping, key, default, where) -> int:
+    value = mapping.get(key, default)
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = 0
+    if n < 1 or n != value:
+        raise ConfigError(f"{where}.{key} must be a positive integer, "
+                          f"got {value!r}")
+    return n
 
 
 def load_scenario(config_path) -> Scenario:
@@ -97,6 +110,8 @@ def load_scenario(config_path) -> Scenario:
     for f in files:
         if f not in _OUTPUT_FILES:
             raise ConfigError(f"unknown output file kind {f!r}")
+    step_divisor = _positive_int(solver, "step_divisor", 20, "solver")
+    stride = _positive_int(solver, "stride", 1, "solver")
     try:
         options = CertificateOptions(
             alpha=float(overrides.get("alpha", 1.0)),
@@ -108,8 +123,8 @@ def load_scenario(config_path) -> Scenario:
             history_preset=preset,
             history_args=history_args,
             horizon=float(tree.get("horizon", 50.0)),
-            step_divisor=int(solver.get("step_divisor", 20)),
-            stride=int(solver.get("stride", 1)),
+            step_divisor=step_divisor,
+            stride=stride,
             options=options,
             out_dir=str(outputs.get("dir", "out")),
             files=files)
@@ -138,6 +153,44 @@ def build_history(scenario: Scenario, p: ModelParams) -> History:
         raise ConfigError(f"invalid history: {exc}") from exc
 
 
+@dataclass
+class RunResult:
+    """What one pipeline run produced; a field is None if not reached.
+
+    ``verdict`` is the lemma's verdict kind, or ``"inapplicable"`` when
+    the lemma does not apply; it is None only when the parameters are
+    invalid, and then ``error`` holds the message.
+    """
+    code: int
+    files: dict[str, Path]
+    verdict: str | None = None
+    cert: LKCertificate | None = None
+    theorem: TheoremReport | None = None
+    envelope: EnvelopeReport | None = None
+    error: str | None = None
+
+    def summary_row(self, value: float) -> list[str]:
+        """This run's row of ``sweep_summary.csv``."""
+        if self.verdict is None:
+            return _error_row(value, self.error)
+        sigma = epsilon = q = v0 = admissible = worst = ""
+        if self.cert is not None:
+            sigma, epsilon, q = (f"{v:.17g}" for v in (
+                self.cert.sigma, self.cert.epsilon, self.cert.q))
+        if self.theorem is not None:
+            v0 = f"{self.theorem.V0:.17g}"
+            admissible = str(self.theorem.envelopes_valid)
+        if self.envelope is not None:
+            worst = f"{min(self.envelope.worst_margin):.17g}"
+        return [f"{value:.17g}", self.verdict, sigma, epsilon, q, v0,
+                admissible, worst, str(self.code)]
+
+
+def _error_row(value: float, message) -> list[str]:
+    return [f"{value:.17g}", f"error: {message}",
+            "", "", "", "", "", "", str(EXIT_INPUT)]
+
+
 def run_scenario(config_path, out_dir=None) -> tuple[int, dict[str, Path]]:
     """Run the full pipeline for one scenario config; returns (exit code, files)."""
     try:
@@ -145,26 +198,34 @@ def run_scenario(config_path, out_dir=None) -> tuple[int, dict[str, Path]]:
     except ConfigError as exc:
         print(f"input error: {exc}")
         return EXIT_INPUT, {}
-    return run_loaded_scenario(scenario, out_dir)
+    result = run_loaded_scenario(scenario, out_dir)
+    return result.code, result.files
 
 
-def run_loaded_scenario(scenario: Scenario,
-                        out_dir=None) -> tuple[int, dict[str, Path]]:
+def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
     out = Path(out_dir) if out_dir is not None else Path(scenario.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    emitted: dict[str, Path] = {}
+    result = RunResult(EXIT_INPUT, {})
 
     def emit(kind, name, text):
         if kind in scenario.files:
             path = out / name
             path.write_text(text)
-            emitted[kind] = path
+            result.files[kind] = path
+
+    def finish(code):
+        result.code = code
+        return result
+
+    def input_error(exc):
+        print(f"input error: {exc}")
+        result.error = str(exc)
+        return finish(EXIT_INPUT)
 
     try:
         p = derive_params(**scenario.params)
     except (ParameterError, TypeError) as exc:
-        print(f"input error: {exc}")
-        return EXIT_INPUT, emitted
+        return input_error(exc)
 
     eq = classify_equilibria(p)
     lines = [f"case: {eq.case_id}"]
@@ -173,17 +234,17 @@ def run_loaded_scenario(scenario: Scenario,
                      + "  ".join(f"{v:.17g}" for v in point))
     try:
         verdict = lemma_classify(p)
+        result.verdict = verdict.kind
         lines.append(f"verdict: {verdict.kind}")
         lines.append(f"witness: {verdict.witness}")
     except DomainError as exc:
-        verdict = None
+        result.verdict = "inapplicable"
         lines.append(f"verdict: inapplicable ({exc})")
     emit("equilibria", "equilibria.txt", "\n".join(lines) + "\n")
 
-    cert: LKCertificate | None = None
-    cert_failure = None
+    cert = cert_failure = None
     try:
-        cert = build_certificate(p, scenario.options)
+        cert = result.cert = build_certificate(p, scenario.options)
         creport = assemble_C(cert)
         emit("certificate", "certificate.txt",
              cert.report()
@@ -199,18 +260,21 @@ def run_loaded_scenario(scenario: Scenario,
     try:
         hist = build_history(scenario, p)
     except ConfigError as exc:
-        print(f"input error: {exc}")
-        return EXIT_INPUT, emitted
+        return input_error(exc)
+    # the admissibility conditions read only the initial data, so they
+    # are reported even when the integration fails
+    if cert is not None:
+        theorem = result.theorem = verify.check_initial_conditions(
+            hist, verify.extend_history(hist, p), cert, p)
     try:
         traj = integrate(p, hist, scenario.horizon,
                          step=default_step(p, scenario.step_divisor))
     except (DomainError, IntegrationError) as exc:
-        print(f"input error: {exc}")
-        return EXIT_INPUT, emitted
+        return input_error(exc)
     if "trajectory" in scenario.files:
         path = out / "trajectory.csv"
         traj.to_csv(path, stride=scenario.stride)
-        emitted["trajectory"] = path
+        result.files["trajectory"] = path
 
     positivity = check_positivity_boundedness(traj, p)
     report_lines = [f"positivity/boundedness: "
@@ -223,20 +287,17 @@ def run_loaded_scenario(scenario: Scenario,
         report_lines.append(f"theorem inadmissible: certificate not "
                             f"constructed ({cert_failure})")
         emit("report", "report.txt", "\n".join(report_lines) + "\n")
-        return EXIT_INADMISSIBLE, emitted
+        return finish(EXIT_INADMISSIBLE)
 
-    ext = verify.extend_history(hist, p)
-    theorem = verify.check_initial_conditions(hist, ext, cert, p)
     report_lines.append(theorem.to_text().rstrip())
-
     if not theorem.envelopes_valid:
         failed = [name for name, c in theorem.conditions.items() if not c.passed]
         report_lines.append(
             f"theorem inadmissible: condition(s) {', '.join(failed)} failed")
         emit("report", "report.txt", "\n".join(report_lines) + "\n")
-        return EXIT_INADMISSIBLE, emitted
+        return finish(EXIT_INADMISSIBLE)
 
-    env = verify.check_envelope(traj, cert, theorem)
+    env = result.envelope = verify.check_envelope(traj, cert, theorem)
     dineq = verify.check_differential_inequality(traj, cert, p)
     report_lines.append(f"envelope check: {'PASS' if env.passed else 'FAIL'} "
                         f"(worst margins "
@@ -249,11 +310,11 @@ def run_loaded_scenario(scenario: Scenario,
     if "verification" in scenario.files:
         path = out / "verification.csv"
         verify.write_verification_csv(path, traj, cert, theorem, p)
-        emitted["verification"] = path
+        result.files["verification"] = path
 
     if not (positivity.passed and env.passed and dineq.passed):
-        return EXIT_VIOLATION, emitted
-    return EXIT_OK, emitted
+        return finish(EXIT_VIOLATION)
+    return finish(EXIT_OK)
 
 
 def _set_scenario_value(scenario: Scenario, key: str, value: float):
@@ -265,9 +326,14 @@ def _set_scenario_value(scenario: Scenario, key: str, value: float):
     elif parts[0] == "horizon" and len(parts) == 1:
         scenario.horizon = value
     elif parts[0] == "history" and len(parts) == 3:
-        name, idx = parts[1], int(parts[2])
-        seq = list(scenario.history_args.get(name, (0.0, 0.0, 0.0)))
-        seq[idx] = value
+        name, idx = parts[1], parts[2]
+        seq = scenario.history_args.get(name, (0.0, 0.0, 0.0))
+        if (not isinstance(seq, (list, tuple)) or not idx.isdecimal()
+                or int(idx) >= len(seq)):
+            raise ConfigError(f"key {key!r} does not address an element "
+                              f"of history.{name}")
+        seq = list(seq)
+        seq[int(idx)] = value
         scenario.history_args[name] = seq
     elif parts[0] == "history" and len(parts) == 2:
         scenario.history_args[parts[1]] = value
@@ -287,7 +353,8 @@ def _set_scenario_value(scenario: Scenario, key: str, value: float):
 def sweep(config_path, key: str, values, out_dir=None) -> tuple[int, Path]:
     """Run the scenario once per value of one scalar field; write a summary CSV.
 
-    A failing row is recorded and does not abort the sweep.
+    Each row's summary comes from its own run; nothing is recomputed.  A
+    failing row is recorded and does not abort the sweep.
     """
     base_out = Path(out_dir) if out_dir is not None else None
     first = load_scenario(config_path)  # raises ConfigError on bad input
@@ -299,43 +366,13 @@ def sweep(config_path, key: str, values, out_dir=None) -> tuple[int, Path]:
         writer.writerow(["value", "verdict", "sigma", "epsilon", "q", "V0",
                          "admissible", "worst_envelope_margin", "exit_code"])
         for i, value in enumerate(values):
+            value = float(value)
             scenario = load_scenario(config_path)
             row_dir = root / f"sweep_{i:03d}"
             try:
-                _set_scenario_value(scenario, key, float(value))
-                code, _ = run_loaded_scenario(scenario, row_dir)
-                row = _summary_row(scenario, value, code)
-            except (ConfigError, ParameterError, DomainError) as exc:
-                row = [f"{float(value):.17g}", f"error: {exc}",
-                       "", "", "", "", "", "", str(EXIT_INPUT)]
+                _set_scenario_value(scenario, key, value)
+                row = run_loaded_scenario(scenario, row_dir).summary_row(value)
+            except (ConfigError, DomainError) as exc:
+                row = _error_row(value, exc)
             writer.writerow(row)
     return EXIT_OK, summary
-
-
-def _summary_row(scenario: Scenario, value, code: int) -> list[str]:
-    p = derive_params(**scenario.params)
-    try:
-        verdict = lemma_classify(p).kind
-    except DomainError:
-        verdict = "inapplicable"
-    sigma = epsilon = q = v0 = ""
-    admissible = ""
-    worst = ""
-    try:
-        cert = build_certificate(p, scenario.options)
-        sigma, epsilon, q = (f"{cert.sigma:.17g}", f"{cert.epsilon:.17g}",
-                             f"{cert.q:.17g}")
-        hist = build_history(scenario, p)
-        ext = verify.extend_history(hist, p)
-        theorem = verify.check_initial_conditions(hist, ext, cert, p)
-        v0 = f"{theorem.V0:.17g}"
-        admissible = str(theorem.envelopes_valid)
-        if theorem.envelopes_valid:
-            traj = integrate(p, hist, scenario.horizon,
-                             step=default_step(p, scenario.step_divisor))
-            env = verify.check_envelope(traj, cert, theorem)
-            worst = f"{min(env.worst_margin):.17g}"
-    except (CertificateError, DomainError, ConfigError, IntegrationError):
-        pass
-    return [f"{float(value):.17g}", verdict, sigma, epsilon, q, v0,
-            admissible, worst, str(code)]

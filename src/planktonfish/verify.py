@@ -23,6 +23,7 @@ V_QUAD_SUBINTERVALS = 128  # per delay window; spec floor is 64
 WINDOW_MAX_GRID = 1024
 ENVELOPE_BASE_TOL = 1e-6
 DIFF_INEQ_TOL = 1e-5
+V_CHUNK = 32  # times per batched lookup in eval_V_many; bounds its memory
 
 
 class ExtendedHistory:
@@ -204,28 +205,53 @@ def gronwall_bound(cert: LKCertificate, V0: float, t: float) -> float:
     return V0 * math.exp(-cert.epsilon * t) / denom ** 2
 
 
-def eval_V_along(traj: Trajectory, cert: LKCertificate, p: ModelParams,
-                 t: float, subintervals: int = V_QUAD_SUBINTERVALS) -> float:
-    """Functional value along the trajectory at time t in [0, t_end]."""
-    if t < 0.0 or t > traj.t_end * (1.0 + 1e-12):
-        raise DomainError(f"t = {t!r} outside [0, {traj.t_end}]")
+def eval_V_many(traj: Trajectory, cert: LKCertificate, p: ModelParams,
+                ts, subintervals: int = V_QUAD_SUBINTERVALS) -> np.ndarray:
+    """Functional value along the trajectory at each time of ``ts`` in [0, t_end].
+
+    The times are taken ``V_CHUNK`` at a time.  A chunk's quadrature nodes
+    are built at once and looked up in one dense-output call for s >= 0
+    and one extended-history call for s < 0.  The quadratic form at t and
+    each window's Simpson sum are then taken per time, with the same
+    operations as a single time, so V does not depend on the batching.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    outside = (ts < 0.0) | (ts > traj.t_end * (1.0 + 1e-12))
+    if outside.any():
+        raise DomainError(f"t = {float(ts[outside][0])!r} "
+                          f"outside [0, {traj.t_end}]")
     ext = extend_history(traj.history, p)
     shift = np.array([cert.x0, cert.y0, 0.0])
-    vt = np.asarray(traj.sample(t)) - shift
-    total = float(vt @ cert.H @ vt)
     base1, base2 = _kernel_bases(cert)
-    for tau, m, base in ((p.tau1, cert.m1, base1), (p.tau2, cert.m2, base2)):
-        s = np.linspace(t - tau, t, subintervals + 1)
+    windows = [(tau, m, base, _simpson_weights(subintervals, tau / subintervals))
+               for tau, m, base in ((p.tau1, cert.m1, base1),
+                                    (p.tau2, cert.m2, base2))]
+    out = np.empty(ts.size)
+    for lo in range(0, ts.size, V_CHUNK):
+        t = ts[lo:lo + V_CHUNK]
+        nodes = [np.linspace(t - tau, t, subintervals + 1, axis=1)
+                 for tau, _, _, _ in windows]
+        s = np.concatenate([t] + [n.ravel() for n in nodes])
         vals = np.empty((s.size, 3))
         neg = s < 0.0
         if neg.any():
             vals[neg] = ext.eval_many(s[neg])
-        if (~neg).any():
-            vals[~neg] = traj.sample_many(s[~neg]) - shift
-        integrand = np.exp(-m * (t - s)) * _quadratic_forms(vals, base)
-        total += float(_simpson_weights(subintervals, tau / subintervals)
-                       @ integrand)
-    return total
+        vals[~neg] = traj.sample_many(s[~neg]) - shift
+        vt = vals[:t.size]
+        total = np.array([float(v @ cert.H @ v) for v in vt])
+        per_window = vals[t.size:].reshape(len(windows), -1, 3)
+        for (_, m, base, w), n, v in zip(windows, nodes, per_window):
+            integrand = (np.exp(-m * (t[:, None] - n))
+                         * _quadratic_forms(v, base).reshape(n.shape))
+            total += [float(w @ row) for row in integrand]
+        out[lo:lo + t.size] = total
+    return out
+
+
+def eval_V_along(traj: Trajectory, cert: LKCertificate, p: ModelParams,
+                 t: float, subintervals: int = V_QUAD_SUBINTERVALS) -> float:
+    """Functional value along the trajectory at time t in [0, t_end]."""
+    return float(eval_V_many(traj, cert, p, [t], subintervals)[0])
 
 
 def solver_error_estimate(traj: Trajectory) -> float:
@@ -274,10 +300,9 @@ def check_differential_inequality(traj: Trajectory, cert: LKCertificate,
             raise DomainError("sampling must be interior: [step, t_end - step]")
     worst = math.inf
     ok = True
-    for t in times:
-        v = eval_V_along(traj, cert, p, float(t))
-        vp = eval_V_along(traj, cert, p, float(t + h))
-        vm = eval_V_along(traj, cert, p, float(t - h))
+    values = eval_V_many(traj, cert, p,
+                         np.concatenate((times, times + h, times - h)))
+    for v, vp, vm in values.reshape(3, -1).T.tolist():
         dv = (vp - vm) / (2.0 * h)
         bound = -cert.epsilon * v + cert.q * v ** 1.5
         slack = bound + DIFF_INEQ_TOL * (1.0 + abs(v)) - dv
@@ -294,14 +319,14 @@ def write_verification_csv(path, traj: Trajectory, cert: LKCertificate,
     """CSV with state, functional value, envelopes, and margins."""
     times = default_sampling(traj) if times is None else np.asarray(times)
     shift = (cert.x0, cert.y0, 0.0)
+    states = traj.sample_many(times).tolist()
+    values = eval_V_many(traj, cert, p, times).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "y", "z", "V",
                          "bound_x", "bound_y", "bound_z",
                          "margin_x", "margin_y", "margin_z"])
-        for t in times:
-            state = traj.sample(float(t))
-            v = eval_V_along(traj, cert, p, float(t))
+        for t, state, v in zip(times, states, values):
             bounds = predicted_envelope(cert, report.V0, float(t))
             margins = [bounds[i] - abs(state[i] - shift[i]) for i in range(3)]
             writer.writerow([f"{val:.17g}" for val in

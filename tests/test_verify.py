@@ -7,9 +7,11 @@ import pytest
 from planktonfish import (DomainError, History, build_certificate,
                           check_differential_inequality, check_envelope,
                           check_initial_conditions, derive_params, eval_V0,
-                          eval_V_along, extend_history, gronwall_bound,
-                          integrate, predicted_envelope)
-from planktonfish.verify import condition_rhs, write_verification_csv
+                          eval_V_along, eval_V_many, extend_history,
+                          gronwall_bound, integrate, predicted_envelope)
+from planktonfish.verify import (V_CHUNK, V_QUAD_SUBINTERVALS, _kernel_bases,
+                                 _quadratic_forms, _simpson_weights,
+                                 condition_rhs, write_verification_csv)
 
 from conftest import admissible_perturbation
 
@@ -197,6 +199,67 @@ class TestFunctionalAlongTrajectory:
         for t in np.linspace(0.0, 20.0, 21):
             v = eval_V_along(traj, cert, p, float(t))
             assert v <= gronwall_bound(cert, report.V0, float(t)) + 1e-7
+
+
+def _reference_eval_V_along(traj, cert, p, t,
+                            subintervals=V_QUAD_SUBINTERVALS):
+    """One time per call, three dense lookups: what ``eval_V_many`` batches."""
+    if t < 0.0 or t > traj.t_end * (1.0 + 1e-12):
+        raise DomainError(f"t = {t!r} outside [0, {traj.t_end}]")
+    ext = extend_history(traj.history, p)
+    shift = np.array([cert.x0, cert.y0, 0.0])
+    vt = np.asarray(traj.sample(t)) - shift
+    total = float(vt @ cert.H @ vt)
+    base1, base2 = _kernel_bases(cert)
+    for tau, m, base in ((p.tau1, cert.m1, base1), (p.tau2, cert.m2, base2)):
+        s = np.linspace(t - tau, t, subintervals + 1)
+        vals = np.empty((s.size, 3))
+        neg = s < 0.0
+        if neg.any():
+            vals[neg] = ext.eval_many(s[neg])
+        if (~neg).any():
+            vals[~neg] = traj.sample_many(s[~neg]) - shift
+        integrand = np.exp(-m * (t - s)) * _quadratic_forms(vals, base)
+        total += float(_simpson_weights(subintervals, tau / subintervals)
+                       @ integrand)
+    return total
+
+
+class TestEvalVMany:
+    @pytest.fixture(params=["equal_delays", "unequal_delays", "sine"])
+    def trajectory(self, request):
+        taus = (0.1, 0.1) if request.param == "equal_delays" else (0.05, 0.3)
+        p = derive_params(r=1, K=1, c1=1, c2=1, d1=1.5, d2=1, b1=3, b2=1,
+                          tau1=taus[0], tau2=taus[1])
+        cert = build_certificate(p)
+        if request.param == "sine":
+            hist = History.equilibrium_plus_sine(p, (2e-3, 1e-3, 0.0), 7.0)
+        else:
+            hist = History.equilibrium_plus_constant(p, (2e-3, 1e-3, 1e-3))
+        return p, cert, integrate(p, hist, 1.5)
+
+    def test_matches_per_time_reference(self, trajectory):
+        p, cert, traj = trajectory
+        # t = 0, times below each delay (history nodes), an uneven count
+        # that spans several chunks, and t = t_end
+        ts = np.concatenate(([0.0, 0.01, 0.5 * p.tau1, 0.9 * p.tau2],
+                             np.linspace(0.02, traj.t_end, 2 * V_CHUNK + 5)))
+        assert ts[-1] == traj.t_end
+        got = eval_V_many(traj, cert, p, ts)
+        ref = np.array([_reference_eval_V_along(traj, cert, p, float(t))
+                        for t in ts])
+        assert (ref > 0.0).all()
+        assert (np.abs(got - ref) <= 1e-14 * ref).all()
+        assert [eval_V_along(traj, cert, p, float(t)) for t in ts[:5]] \
+            == got[:5].tolist()
+
+    @pytest.mark.parametrize("bad", [-1e-3, 1.6])
+    def test_domain_check(self, trajectory, bad):
+        p, cert, traj = trajectory
+        with pytest.raises(DomainError, match="outside"):
+            eval_V_many(traj, cert, p, [0.5, bad, 1.0])
+        with pytest.raises(DomainError, match="outside"):
+            eval_V_along(traj, cert, p, bad)
 
 
 class TestChecks:
