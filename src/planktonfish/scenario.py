@@ -13,6 +13,7 @@ outcomes onto documented exit codes:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -226,6 +227,12 @@ def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
         p = derive_params(**scenario.params)
     except (ParameterError, TypeError) as exc:
         return input_error(exc)
+    step = default_step(p, scenario.step_divisor)
+    # the differential-inequality check differences V at t +- step on
+    # [2 step, horizon - 2 step]
+    if not 4.0 * step <= scenario.horizon < math.inf:
+        return input_error(f"horizon must be finite and at least 4 x step "
+                           f"= {4.0 * step:.17g}, got {scenario.horizon!r}")
 
     eq = classify_equilibria(p)
     lines = [f"case: {eq.case_id}"]
@@ -267,8 +274,7 @@ def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
         theorem = result.theorem = verify.check_initial_conditions(
             hist, verify.extend_history(hist, p), cert, p)
     try:
-        traj = integrate(p, hist, scenario.horizon,
-                         step=default_step(p, scenario.step_divisor))
+        traj = integrate(p, hist, scenario.horizon, step=step)
     except (DomainError, IntegrationError) as exc:
         return input_error(exc)
     if "trajectory" in scenario.files:

@@ -33,9 +33,11 @@ class History:
     maxima.  Components must be non-negative and phi(0) must be positive.
     """
 
-    def __init__(self, p: ModelParams, funcs, kind: str, meta: dict):
+    def __init__(self, p: ModelParams, funcs, kind: str, meta: dict,
+                 many=None):
         self.p = p
         self._funcs = funcs
+        self._many = many  # array evaluation (m,) -> (m, 3), if any
         self.kind = kind
         self.meta = meta
         self.windows = ((-p.tau1, 0.0), (-p.tau_max, 0.0), (-p.tau2, 0.0))
@@ -88,20 +90,38 @@ class History:
         def make(s):
             return lambda t: float(s(t))
 
-        return cls(p, tuple(make(s) for s in splines), "tabulated", {})
+        def many(ts):
+            return np.column_stack([s(ts) for s in splines])
+
+        return cls(p, tuple(make(s) for s in splines), "tabulated", {},
+                   many)
 
     # -- evaluation ----------------------------------------------------------
 
-    def component(self, i: int, theta: float) -> float:
+    def _clamp(self, theta: float) -> float:
         lo = -self.p.tau_max
         if theta < lo - 1e-9 * (1.0 + self.p.tau_max) or theta > 1e-12:
             raise DomainError(f"history evaluated at theta = {theta!r} "
                               f"outside [{lo}, 0]")
-        return self._funcs[i](min(theta, 0.0))
+        return min(theta, 0.0)
+
+    def component(self, i: int, theta: float) -> float:
+        return self._funcs[i](self._clamp(theta))
 
     def __call__(self, theta: float):
         return (self.component(0, theta), self.component(1, theta),
                 self.component(2, theta))
+
+    def eval_many(self, thetas) -> np.ndarray:
+        """Rows (phi, psi, eta) at each theta of an array.
+
+        A tabulated history makes one spline call per component; the
+        presets evaluate their scalar functions point by point.
+        """
+        ts = [self._clamp(t) for t in np.asarray(thetas, dtype=float).tolist()]
+        if self._many is not None:
+            return self._many(np.array(ts))
+        return np.array([[f(t) for f in self._funcs] for t in ts]).reshape(-1, 3)
 
     def max_abs_deviation(self, i: int, window, center: float) -> float:
         """Max of |component_i(theta) - center| on a dense grid + endpoints."""
@@ -172,8 +192,9 @@ def _dense(states: np.ndarray, derivs: np.ndarray, h: float,
            + (u3 - 2.0 * u2 + u) * h * derivs[k]
            + (-2.0 * u3 + 3.0 * u2) * states[k + 1]
            + (u3 - u2) * h * derivs[k + 1])
-    for i in np.flatnonzero(ts < 0.0):
-        out[i] = history(float(ts[i]))
+    neg = ts < 0.0
+    if neg.any():
+        out[neg] = history.eval_many(ts[neg])
     return out
 
 

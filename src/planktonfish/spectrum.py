@@ -21,6 +21,7 @@ Rect = tuple[float, float, float, float]  # (re_min, re_max, im_min, im_max)
 
 ROOT_RESIDUAL_TOL = 1e-9
 _MAX_DEPTH = 12
+WINDING_CHUNK = 64  # rectangles per batched boundary evaluation
 
 
 @dataclass(frozen=True)
@@ -117,40 +118,96 @@ def default_region(p: ModelParams) -> Rect:
     return (-scale, 1.0, -50.0, 50.0)
 
 
-def _boundary(rect: Rect, n: int) -> np.ndarray:
-    re0, re1, im0, im1 = rect
-    bottom = np.linspace(re0, re1, n, endpoint=False) + 1j * im0
-    right = re1 + 1j * np.linspace(im0, im1, n, endpoint=False)
-    top = np.linspace(re1, re0, n, endpoint=False) + 1j * im1
-    left = re0 + 1j * np.linspace(im1, im0, n, endpoint=False)
-    return np.concatenate([bottom, right, top, left])
+def _boundary(rects: np.ndarray, n: int) -> np.ndarray:
+    """Counter-clockwise boundary samples, one row of 4n per rectangle."""
+    re0, re1, im0, im1 = rects.T[:, :, None]
+    k = np.arange(n)
+
+    def edge(a, b):
+        # np.linspace(a, b, n, endpoint=False) per row, same arithmetic
+        return k * ((b - a) / n) + a
+
+    bottom = edge(re0, re1) + 1j * im0
+    right = re1 + 1j * edge(im0, im1)
+    top = edge(re1, re0) + 1j * im1
+    left = re0 + 1j * edge(im1, im0)
+    return np.concatenate([bottom, right, top, left], axis=1)
+
+
+def _phase_counts(rects: np.ndarray, n: int, lin, p):
+    """Row-wise argument-principle test on n samples per edge.
+
+    Returns the rounded winding sums, a mask of rectangles whose boundary
+    meets a root (jitter), and a mask of rectangles whose phase steps all
+    stay within pi/2 (count accepted).
+    """
+    z = _boundary(rects, n)
+    q = _q_vec(z, lin, p)
+    nxt = np.roll(q, -1, axis=1)
+    aq = np.abs(q)
+    hit = aq.min(axis=1) < 1e-12 * np.maximum(np.median(aq, axis=1), 1e-300)
+    # Q has real coefficients, so it is real on the real axis: a sign
+    # change between two consecutive real samples is a root on the edge
+    real = (z.imag == 0) & (np.roll(z.imag, -1, axis=1) == 0)
+    hit |= (real & (q.real * nxt.real < 0)).any(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dphi = np.angle(nxt / q)  # rows with a zero sample are already hit
+    ok = ~hit & (np.abs(dphi).max(axis=1) <= 0.5 * np.pi)
+    return np.rint(dphi.sum(axis=1) / (2.0 * np.pi)), hit, ok
 
 
 def _winding(rect: Rect, lin, p, depth: int = 0) -> int:
     """Winding number of Q around the rectangle boundary.
 
     Phase increments are tracked on progressively denser samplings until
-    no step exceeds pi/2; near-zero boundary values trigger a jittered
-    (slightly enlarged) rectangle.
+    no step exceeds pi/2.  A boundary sample with |Q| ~ 0, or a sign
+    change of Q between two consecutive samples on the real axis (where
+    Q is real, so the step is exactly pi at every density), means a root
+    sits on the boundary; the rectangle is then jittered (slightly
+    enlarged) at once instead of refined.
     """
     if depth > _MAX_DEPTH:
         raise RuntimeError("root scan: contour jitter depth exceeded")
-    size = rect[1] - rect[0] + rect[3] - rect[2]
+    rects = np.array([rect])
     n = 64
     while n <= 8192:
-        z = _boundary(rect, n)
-        q = _q_vec(z, lin, p)
-        aq = np.abs(q)
-        if np.min(aq) < 1e-12 * max(float(np.median(aq)), 1e-300):
-            break  # boundary essentially hits a root; jitter below
-        dphi = np.angle(np.roll(q, -1) / q)
-        if np.max(np.abs(dphi)) <= 0.5 * np.pi:
-            return int(round(np.sum(dphi) / (2.0 * np.pi)))
+        counts, hit, ok = _phase_counts(rects, n, lin, p)
+        if hit[0]:
+            break
+        if ok[0]:
+            return int(counts[0])
         n *= 2
-    # a root sits on or very near the boundary: enlarge slightly and retry
+    return _winding(_grown(rect, depth), lin, p, depth + 1)
+
+
+def _grown(rect: Rect, depth: int) -> Rect:
+    # a root sits on or very near the boundary: enlarge slightly
+    size = rect[1] - rect[0] + rect[3] - rect[2]
     pad = size / 1024.0 * 2.0 ** depth
-    grown = (rect[0] - pad, rect[1] + pad, rect[2] - pad, rect[3] + pad)
-    return _winding(grown, lin, p, depth + 1)
+    return (rect[0] - pad, rect[1] + pad, rect[2] - pad, rect[3] + pad)
+
+
+def _windings(rects: list[Rect], lin, p) -> list[int]:
+    """``_winding`` of each rectangle, the first sampling batched.
+
+    The n = 64 boundaries of ``WINDING_CHUNK`` rectangles are evaluated
+    in one call.  Only rectangles that fail that first test go on to the
+    scalar ``_winding``: jittered at once when the boundary meets a root,
+    refined from n = 64 otherwise.
+    """
+    out: list[int] = []
+    for start in range(0, len(rects), WINDING_CHUNK):
+        chunk = rects[start:start + WINDING_CHUNK]
+        counts, hit, ok = _phase_counts(np.array(chunk), 64, lin, p)
+        for rect, c, jitter, accepted in zip(chunk, counts.tolist(),
+                                             hit.tolist(), ok.tolist()):
+            if accepted:
+                out.append(int(c))
+            elif jitter:
+                out.append(_winding(_grown(rect, 0), lin, p, 1))
+            else:
+                out.append(_winding(rect, lin, p))
+    return out
 
 
 def _newton(z0: complex, lin, p, tol: float = 1e-12,
@@ -174,10 +231,9 @@ def _in_rect(z: complex, rect: Rect, slack: float = 1e-9) -> bool:
     return re0 - w <= z.real <= re1 + w and im0 - w <= z.imag <= im1 + w
 
 
-def _roots_in_rect(rect: Rect, lin, p, depth: int = 0) -> list[complex]:
-    count = _winding(rect, lin, p)
-    if count == 0:
-        return []
+def _roots_in_rect(rect: Rect, count: int, lin, p,
+                   depth: int = 0) -> list[complex]:
+    # ``count`` is the rectangle's winding number, known by the caller
     center = complex(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]))
     root = _newton(center, lin, p)
     if (count == 1 and root is not None and _in_rect(root, rect)
@@ -193,8 +249,9 @@ def _roots_in_rect(rect: Rect, lin, p, depth: int = 0) -> list[complex]:
     quads = [(rect[0], rm, rect[2], im), (rm, rect[1], rect[2], im),
              (rect[0], rm, im, rect[3]), (rm, rect[1], im, rect[3])]
     found: list[complex] = []
-    for quad in quads:
-        found.extend(_roots_in_rect(quad, lin, p, depth + 1))
+    for quad, c in zip(quads, _windings(quads, lin, p)):
+        if c != 0:
+            found.extend(_roots_in_rect(quad, c, lin, p, depth + 1))
     return found
 
 
@@ -206,7 +263,12 @@ def root_scan(lin: LinearizedSystem, p: ModelParams,
     Argument-principle winding counts over a coarse grid of
     sub-rectangles select candidates, which are then resolved by
     adaptive subdivision and Newton polishing.  Every reported root has
-    residual |Q| <= 1e-9.
+    residual |Q| <= 1e-9.  The first (n = 64) sampling of all grid cells,
+    and of the four quadrants of each subdivision, is evaluated in one
+    batched call per ``WINDING_CHUNK`` rectangles; each rectangle's
+    winding number is computed once and passed down, and quadrants with
+    winding number 0 are not entered.  Edges on the real axis that
+    straddle a root are jittered at once (see ``_winding``).
     """
     if region is None:
         region = default_region(p)
@@ -218,16 +280,14 @@ def root_scan(lin: LinearizedSystem, p: ModelParams,
         raise DomainError("grid resolution must be at least 8x8")
     re_edges = np.linspace(re0, re1, nr + 1)
     im_edges = np.linspace(im0, im1, ni + 1)
-    counts: list[tuple[Rect, int]] = []
+    subs = [(float(re_edges[i]), float(re_edges[i + 1]),
+             float(im_edges[j]), float(im_edges[j + 1]))
+            for i in range(nr) for j in range(ni)]
+    counts = list(zip(subs, _windings(subs, lin, p)))
     roots: list[complex] = []
-    for i in range(nr):
-        for j in range(ni):
-            sub = (float(re_edges[i]), float(re_edges[i + 1]),
-                   float(im_edges[j]), float(im_edges[j + 1]))
-            c = _winding(sub, lin, p)
-            counts.append((sub, c))
-            if c != 0:
-                roots.extend(_roots_in_rect(sub, lin, p))
+    for sub, c in counts:
+        if c != 0:
+            roots.extend(_roots_in_rect(sub, c, lin, p))
     polished: list[complex] = []
     residuals: list[float] = []
     for z in roots:

@@ -153,6 +153,28 @@ class TestRunScenario:
         assert capsys.readouterr().out.startswith(
             f"input error: solver.{field} must be a positive integer")
 
+    # CASE2 has step 0.01 / 20 = 0.0005, so the shortest horizon is 0.002
+    @pytest.mark.parametrize("horizon", [0.001, 0.0019999, 0.0, -1.0,
+                                         float("nan"), float("inf")])
+    def test_horizon_below_four_steps_is_input_error(self, tmp_path, capsys,
+                                                     horizon):
+        tree = {"params": CASE2, "horizon": horizon,
+                "outputs": {"dir": str(tmp_path / "out")}}
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        assert main(["run", cfg]) == EXIT_INPUT
+        assert capsys.readouterr().out == (
+            f"input error: horizon must be finite and at least 4 x step "
+            f"= 0.002, got {horizon!r}\n")
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_horizon_of_four_steps_runs(self, tmp_path):
+        tree = {"params": CASE2, "horizon": 0.002,
+                "history": {"preset": "equilibrium_plus_constant",
+                            "offsets": [1e-5, 5e-6, 1e-5]},
+                "outputs": {"dir": str(tmp_path / "out")}}
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        assert main(["run", cfg]) == EXIT_OK
+
     def test_output_selection(self, tmp_path):
         tree = {
             "params": CASE2,
@@ -221,6 +243,18 @@ class TestSweep:
             f"error: key {key!r} does not address an element of "
             "history.offsets"] * 2
         assert all(row[8] == str(EXIT_INPUT) for row in rows)
+
+    def test_short_horizon_recorded_as_row_error(self, small_config,
+                                                 tmp_path):
+        code = main(["sweep", small_config, "--key", "horizon",
+                     "--values", "0.001,0.002", "--out", str(tmp_path / "sw")])
+        assert code == EXIT_OK
+        rows = _data_rows(tmp_path / "sw" / "sweep_summary.csv")
+        assert rows[0] == ["0.001", "error: horizon must be finite and at "
+                           "least 4 x step = 0.002, got 0.001",
+                           "", "", "", "", "", "", str(EXIT_INPUT)]
+        assert rows[1][1] == "AsymptoticallyStable"
+        assert rows[1][8] == str(EXIT_OK)
 
 
 def _reference_row(scenario, value, code):

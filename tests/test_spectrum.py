@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from planktonfish import (DomainError, derive_params, eval_Q, eval_factors,
                           lemma_classify, linearize, root_scan)
+from planktonfish import spectrum
 from planktonfish.spectrum import ROOT_RESIDUAL_TOL, default_region
 
 from conftest import random_stable_params, random_unstable_params
@@ -146,3 +148,179 @@ class TestRootScan:
     def test_default_region_scales_with_rates(self, case2_params):
         region = default_region(case2_params)
         assert region[0] == -15.0 and region[1] == 1.0
+
+
+# -- reference scan ----------------------------------------------------------
+# The scan before the batched first sampling and the real-axis rule: every
+# rectangle's winding number by the full refinement ladder, one rectangle
+# at a time, and recomputed when the subdivision enters it.
+
+def _reference_boundary(rect, n):
+    re0, re1, im0, im1 = rect
+    bottom = np.linspace(re0, re1, n, endpoint=False) + 1j * im0
+    right = re1 + 1j * np.linspace(im0, im1, n, endpoint=False)
+    top = np.linspace(re1, re0, n, endpoint=False) + 1j * im1
+    left = re0 + 1j * np.linspace(im1, im0, n, endpoint=False)
+    return np.concatenate([bottom, right, top, left])
+
+
+def _reference_winding(rect, lin, p, depth=0):
+    if depth > spectrum._MAX_DEPTH:
+        raise RuntimeError("root scan: contour jitter depth exceeded")
+    size = rect[1] - rect[0] + rect[3] - rect[2]
+    n = 64
+    while n <= 8192:
+        q = spectrum._q_vec(_reference_boundary(rect, n), lin, p)
+        aq = np.abs(q)
+        if np.min(aq) < 1e-12 * max(float(np.median(aq)), 1e-300):
+            break
+        dphi = np.angle(np.roll(q, -1) / q)
+        if np.max(np.abs(dphi)) <= 0.5 * np.pi:
+            return int(round(np.sum(dphi) / (2.0 * np.pi)))
+        n *= 2
+    pad = size / 1024.0 * 2.0 ** depth
+    grown = (rect[0] - pad, rect[1] + pad, rect[2] - pad, rect[3] + pad)
+    return _reference_winding(grown, lin, p, depth + 1)
+
+
+def _reference_roots_in_rect(rect, lin, p, depth=0):
+    count = _reference_winding(rect, lin, p)
+    if count == 0:
+        return []
+    center = complex(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]))
+    root = spectrum._newton(center, lin, p)
+    if (count == 1 and root is not None and spectrum._in_rect(root, rect)
+            and abs(spectrum._q_vec(np.array([root]), lin, p)[0])
+            <= ROOT_RESIDUAL_TOL):
+        return [root]
+    tiny = (rect[1] - rect[0] < 1e-8) and (rect[3] - rect[2] < 1e-8)
+    if depth >= spectrum._MAX_DEPTH or tiny:
+        if root is not None and spectrum._in_rect(root, rect):
+            return [root]
+        return []
+    rm = 0.5 * (rect[0] + rect[1])
+    im = 0.5 * (rect[2] + rect[3])
+    quads = [(rect[0], rm, rect[2], im), (rm, rect[1], rect[2], im),
+             (rect[0], rm, im, rect[3]), (rm, rect[1], im, rect[3])]
+    found = []
+    for quad in quads:
+        found.extend(_reference_roots_in_rect(quad, lin, p, depth + 1))
+    return found
+
+
+def _reference_root_scan(lin, p, region=None, grid=(8, 8)):
+    region = default_region(p) if region is None else region
+    re0, re1, im0, im1 = region
+    nr, ni = grid
+    re_edges = np.linspace(re0, re1, nr + 1)
+    im_edges = np.linspace(im0, im1, ni + 1)
+    counts, roots = [], []
+    for i in range(nr):
+        for j in range(ni):
+            sub = (float(re_edges[i]), float(re_edges[i + 1]),
+                   float(im_edges[j]), float(im_edges[j + 1]))
+            c = _reference_winding(sub, lin, p)
+            counts.append((sub, c))
+            if c != 0:
+                roots.extend(_reference_roots_in_rect(sub, lin, p))
+    polished, residuals = [], []
+    for z in roots:
+        res = abs(eval_Q(z, lin, p))
+        if res > ROOT_RESIDUAL_TOL:
+            continue
+        if any(abs(z - w) <= 1e-6 * (1.0 + abs(w)) for w in polished):
+            continue
+        polished.append(z)
+        residuals.append(res)
+    rightmost = max((z.real for z in polished), default=-math.inf)
+    return polished, residuals, rightmost, counts
+
+
+def _parity_cases():
+    rng = np.random.default_rng(31)
+    p2 = derive_params(r=1.0, K=1.0, c1=1.0, c2=1.0, d1=1.5, d2=1.0,
+                       b1=3.0, b2=1.0, tau1=0.1, tau2=0.1)
+    cases = [("case2", p2, {})]
+    cases += [(f"stable_{i}", random_stable_params(rng), {}) for i in range(4)]
+    cases += [(f"unstable_{i}", random_unstable_params(rng), {})
+              for i in range(3)]
+    cases += [
+        ("zero_delays", derive_params(r=1, K=1, c1=1, c2=1, d1=1.5, d2=1,
+                                      b1=3, b2=1, tau1=0.0, tau2=0.0),
+         {"region": (-10.0, 1.0, -5.0, 5.0)}),
+        ("custom_region", random_stable_params(rng, (0.2, 0.5)),
+         {"region": (-6.0, 2.0, -30.0, 40.0)}),
+        ("region_on_real_axis", p2, {"region": (-4.0, 1.0, 0.0, 25.0)}),
+        ("grid_12x10", random_stable_params(rng), {"grid": (12, 10)}),
+    ]
+    return [pytest.param(p, kwargs, id=name) for name, p, kwargs in cases]
+
+
+class TestRootScanParity:
+    @pytest.mark.parametrize("p, kwargs", _parity_cases())
+    def test_matches_reference_scan(self, p, kwargs):
+        lin = linearize(p)
+        report = root_scan(lin, p, **kwargs)
+        roots, residuals, rightmost, counts = _reference_root_scan(
+            lin, p, **kwargs)
+        assert report.roots == roots
+        assert report.residuals == residuals
+        assert report.rightmost_real_part == rightmost
+        assert report.counts == counts
+        if not kwargs:
+            # a real root on the im = 0 grid line of the default region
+            assert any(abs(z.imag) < 1e-12 for z in roots)
+
+    def test_real_axis_edge_jitters_after_one_sampling(self, case2_lin,
+                                                       monkeypatch):
+        lin, p = case2_lin
+        # real root of the fish factor, off every n = 64 sample of the edge
+        k = p.e2 * p.c2 * lin.y0
+        lam = float(lambertw(k * p.tau2 * math.exp(p.d2 * p.tau2)).real
+                    / p.tau2 - p.d2)
+        rect = (lam - 0.3, lam + 0.7, 0.0, 1.0)
+        calls = []
+        q_vec = spectrum._q_vec
+
+        def counting(z, lin, p):
+            calls.append(np.asarray(z))
+            return q_vec(z, lin, p)
+
+        monkeypatch.setattr(spectrum, "_q_vec", counting)
+
+        def samplings_before_jitter():
+            # the grown rectangle is the first boundary below the real axis
+            return next(i for i, z in enumerate(calls) if z.imag.min() < 0.0)
+
+        count = spectrum._winding(rect, lin, p)
+        assert samplings_before_jitter() == 1 and calls[0].size == 256
+        calls.clear()
+        assert _reference_winding(rect, lin, p) == count
+        assert samplings_before_jitter() == 8  # n = 64, 128, ..., 8192
+
+
+def _fish_factor_roots(p, lin):
+    """Roots of q2(lam) = lam + d2 - k exp(-lam tau2) by Lambert W."""
+    k = p.e2 * p.c2 * lin.y0
+    arg = k * p.tau2 * math.exp(p.d2 * p.tau2)
+    branches = math.ceil(50.0 * p.tau2 / math.pi) + 2
+    return [complex(lambertw(arg, j)) / p.tau2 - p.d2
+            for j in range(-branches, branches + 1)]
+
+
+class TestLambertOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fish_factor_roots_found(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        p = (random_stable_params(rng, (0.05, 0.5)) if seed % 2 == 0
+             else random_unstable_params(rng, (0.05, 0.5)))
+        lin = linearize(p)
+        re0, re1, im0, im1 = region = default_region(p)
+        report = root_scan(lin, p)
+        inside = [lam for lam in _fish_factor_roots(p, lin)
+                  if re0 + 1e-3 < lam.real < re1 - 1e-3
+                  and im0 + 1e-3 < lam.imag < im1 - 1e-3]
+        assert inside, f"no fish-factor root inside {region}"
+        for lam in inside:
+            assert abs(eval_factors(lam, lin, p)[1]) <= 1e-9 * (1 + abs(lam))
+            assert min(abs(lam - z) for z in report.roots) <= 1e-8
