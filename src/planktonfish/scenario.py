@@ -150,7 +150,11 @@ def build_history(scenario: Scenario, p: ModelParams) -> History:
         table_path = _require(args, "table", "history")
         rows = np.loadtxt(table_path, delimiter=",", skiprows=1)
         return History.tabulated(p, rows[:, 0], rows[:, 1:4])
-    except (DomainError, OSError, IndexError) as exc:
+    except ConfigError:
+        raise
+    # ValueError covers DomainError, a non-numeric table cell (np.loadtxt)
+    # and a theta column that is not strictly increasing (CubicSpline)
+    except (ValueError, OSError, IndexError) as exc:
         raise ConfigError(f"invalid history: {exc}") from exc
 
 

@@ -6,7 +6,8 @@ Methods for Delay Differential Equations, 2003).  The step is at most
 the smallest positive delay / 20, so a block of floor(tau_min/h) - 2
 steps reads its delayed values only from history or from nodes completed
 before the block.  Each block evaluates those delayed terms in one
-vectorised lookup, then runs a scalar RK4 loop over the local part.
+vectorised lookup, then runs a scalar RK4 loop over the local part.  The
+loop writes the four RK4 stages inline, and equal delays share one lookup.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ class History:
         def many(ts):
             return np.column_stack([s(ts) for s in splines])
 
-        return cls(p, tuple(make(s) for s in splines), "tabulated", {},
-                   many)
+        return cls(p, tuple(make(s) for s in splines), "tabulated",
+                   {"splines": splines}, many)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -154,6 +155,22 @@ class History:
             return max(abs(eq + amp * math.sin(w * t + ph) - center)
                        for t in cands)
         return None
+
+    def sup_abs_deviation(self, i: int, window, center: float) -> float:
+        """Sup of |component_i(theta) - center| over the window, from above.
+
+        The presets use the closed form; a tabulated history takes its
+        spline at the window endpoints and at the real roots of the
+        spline's derivative inside the window.
+        """
+        exact = self.analytic_max_abs_deviation(i, window, center)
+        if exact is not None:
+            return exact
+        a, b = window
+        spline = self.meta["splines"][i]
+        roots = spline.derivative().roots(extrapolate=False)
+        cands = np.concatenate(([a, b], roots[(roots > a) & (roots < b)]))
+        return float(np.abs(spline(cands) - center).max())
 
     def _validate(self):
         for i, (lo, _) in enumerate(self.windows):
@@ -238,9 +255,10 @@ class Trajectory:
 
 
 def default_step(p: ModelParams, divisor: int = 20) -> float:
-    """Step of about (smallest positive delay, capped at 0.01) / divisor.
+    """Step min(smallest positive delay, 0.01) / divisor.
 
-    When both delays are positive the step divides the smaller one exactly.
+    When both delays are positive the step is shortened to
+    tau_min / ceil(tau_min / step), so that it divides tau_min exactly.
     """
     base = min(v for v in (p.tau1, p.tau2, 0.01) if v > 0.0)
     h0 = base / divisor
@@ -256,10 +274,12 @@ def integrate(p: ModelParams, hist: History, t_end: float,
     Block method of steps: with ``B = floor(tau_min/h) - 2`` steps per
     block, every delayed value a block needs lies at least two nodes
     before the block, on nodes already completed.  The delayed coupling
-    terms of a whole block are evaluated in one vectorised lookup at the
-    three RK4 stage times; a scalar RK4 loop then advances the local
-    part.  A zero delay's coupling term is local and is evaluated in the
-    loop from the stage state.
+    terms of a whole block are evaluated in one vectorised lookup per
+    distinct positive delay at the three RK4 stage times; a scalar RK4
+    loop with inline stages then advances the local part and collects
+    the block's derivatives and nodes in flat lists.  A zero delay's
+    coupling term is local and is evaluated in the loop from the stage
+    state.
     """
     if t_end <= 0.0:
         raise DomainError("t_end must be positive")
@@ -281,45 +301,54 @@ def integrate(p: ModelParams, hist: History, t_end: float,
     hh, h6 = 0.5 * h, h / 6.0
     states = np.zeros((n + 1, 3))
     derivs = np.zeros((n + 1, 3))
+    flat_states, flat_derivs = states.reshape(-1), derivs.reshape(-1)
     states[0] = hist(0.0)
     x, y, z = states[0].tolist()
-
-    def f(x, y, z, f1, f2):
-        # right-hand side; f1, f2 are the delayed coupling terms
-        return (r * x * (1.0 - x / K) - c1 * x * y,
-                md1 * y + (f1 if tau1 else ec1 * x * y) - c2 * y * z,
-                md2 * z + (f2 if tau2 else ec2 * y * z))
-
-    def coupling(t, tau, ec, a, b):
-        # ec * u_a * u_b at t - tau, t + h/2 - tau, t + h - tau; one row each
-        if tau == 0.0:
-            return [[None] * t.size] * 3
-        s = np.concatenate((t - tau, (t + hh) - tau, (t + h) - tau))
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = _dense(states, derivs, h, hist, s)
-            return (ec * u[:, a] * u[:, b]).reshape(3, t.size).tolist()
 
     # Indices run to n inclusive so that the last block also yields
     # derivs[n]; the state it computes past t_end is discarded.
     for i0 in range(0, n + 1, block):
         i1 = min(i0 + block, n + 1)
         t = np.arange(i0, i1) * h
-        g1, g1h, g11 = coupling(t, tau1, ec1, 0, 1)
-        g2, g2h, g21 = coupling(t, tau2, ec2, 1, 2)
+        # delayed coupling terms e1*c1*x*y and e2*c2*y*z at t - tau,
+        # t + h/2 - tau and t + h - tau, one row each; equal delays share
+        # one lookup, and a zero delay's rows are placeholders
+        none = [[None] * t.size] * 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = {tau: _dense(states, derivs, h, hist, np.concatenate(
+                     (t - tau, (t + hh) - tau, (t + h) - tau)))
+                 for tau in set(pos_taus)}
+            u1, u2 = u.get(tau1), u.get(tau2)
+            w1 = none if not tau1 else (
+                ec1 * u1[:, 0] * u1[:, 1]).reshape(3, -1).tolist()
+            w2 = none if not tau2 else (
+                ec2 * u2[:, 1] * u2[:, 2]).reshape(3, -1).tolist()
         ks, nodes = [], []
-        for f1, f1h, f11, f2, f2h, f21 in zip(g1, g1h, g11, g2, g2h, g21):
-            k1 = f(x, y, z, f1, f2)
-            k2 = f(x + hh * k1[0], y + hh * k1[1], z + hh * k1[2], f1h, f2h)
-            k3 = f(x + hh * k2[0], y + hh * k2[1], z + hh * k2[2], f1h, f2h)
-            k4 = f(x + h * k3[0], y + h * k3[1], z + h * k3[2], f11, f21)
-            ks.append(k1)
-            x = x + h6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            y = y + h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            z = z + h6 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-            nodes.append((x, y, z))
-        derivs[i0:i1] = ks
+        put_k, put_node = ks.extend, nodes.extend
+        for f1, f1h, f11, f2, f2h, f21 in zip(*w1, *w2):
+            a1 = r * x * (1.0 - x / K) - c1 * x * y
+            b1 = md1 * y + (f1 if tau1 else ec1 * x * y) - c2 * y * z
+            g1 = md2 * z + (f2 if tau2 else ec2 * y * z)
+            xs, ys, zs = x + hh * a1, y + hh * b1, z + hh * g1
+            a2 = r * xs * (1.0 - xs / K) - c1 * xs * ys
+            b2 = md1 * ys + (f1h if tau1 else ec1 * xs * ys) - c2 * ys * zs
+            g2 = md2 * zs + (f2h if tau2 else ec2 * ys * zs)
+            xs, ys, zs = x + hh * a2, y + hh * b2, z + hh * g2
+            a3 = r * xs * (1.0 - xs / K) - c1 * xs * ys
+            b3 = md1 * ys + (f1h if tau1 else ec1 * xs * ys) - c2 * ys * zs
+            g3 = md2 * zs + (f2h if tau2 else ec2 * ys * zs)
+            xs, ys, zs = x + h * a3, y + h * b3, z + h * g3
+            a4 = r * xs * (1.0 - xs / K) - c1 * xs * ys
+            b4 = md1 * ys + (f11 if tau1 else ec1 * xs * ys) - c2 * ys * zs
+            g4 = md2 * zs + (f21 if tau2 else ec2 * ys * zs)
+            put_k((a1, b1, g1))
+            x = x + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            y = y + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            z = z + h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+            put_node((x, y, z))
+        flat_derivs[3 * i0:3 * i1] = ks
         m = min(i1, n) - i0
-        states[i0 + 1:i0 + 1 + m] = nodes[:m]
+        flat_states[3 * i0 + 3:3 * (i0 + 1 + m)] = nodes[:3 * m]
         bad = ~np.isfinite(states[i0 + 1:i0 + 1 + m]).all(axis=1)
         if bad.any():
             i = i0 + int(np.argmax(bad))

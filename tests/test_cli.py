@@ -175,6 +175,34 @@ class TestRunScenario:
         cfg = _write_config(tmp_path / "c.yaml", tree)
         assert main(["run", cfg]) == EXIT_OK
 
+    # a repeated theta (CubicSpline) and a non-numeric cell (np.loadtxt)
+    @pytest.mark.parametrize("bad_row", ["-0.1,0.5,0.3,0.1",
+                                         "-0.05,0.5,abc,0.1"])
+    def test_bad_history_table_is_input_error(self, tmp_path, capsys,
+                                              bad_row):
+        table = tmp_path / "history.csv"
+        table.write_text("theta,x,y,z\n-0.2,0.5,0.3,0.1\n-0.1,0.5,0.3,0.1\n"
+                         f"{bad_row}\n0.0,0.5,0.3,0.1\n")
+        tree = {"params": CASE2, "horizon": 1.0,
+                "history": {"preset": "tabulated", "table": str(table)},
+                "outputs": {"dir": str(tmp_path / "out")}}
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        assert main(["run", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out.startswith("input error: invalid history: ")
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_non_numeric_history_offset_is_input_error(self, tmp_path, capsys):
+        tree = {"params": CASE2, "horizon": 1.0,
+                "history": {"preset": "equilibrium_plus_constant",
+                            "offsets": ["abc", 0.0, 0.0]},
+                "outputs": {"dir": str(tmp_path / "out")}}
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        assert main(["run", cfg]) == EXIT_INPUT
+        assert capsys.readouterr().out == (
+            "input error: invalid history: could not convert string to "
+            "float: 'abc'\n")
+
     def test_output_selection(self, tmp_path):
         tree = {
             "params": CASE2,
@@ -310,6 +338,8 @@ def _reference_summary(config, key, values, out):
     return path.read_bytes()
 
 
+# the 1e200 offset overflows V0 to inf on purpose; that must stay silent
+@pytest.mark.filterwarnings("error")
 class TestSweepSummaryRows:
     @pytest.fixture
     def config(self, tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from planktonfish import simulate
 from planktonfish import (DomainError, History, IntegrationError,
                           check_positivity_boundedness, default_step,
                           derive_params, integrate, plankton_only_point)
@@ -120,6 +121,14 @@ _REFERENCE_CASES = {
                      lambda p: History.equilibrium_plus_sine(
                          p, (0.02, 0.01, 0.0), 7.0, phase=0.3), 3.0, None),
     "tabulated_history": (_readme_params(0.05, 0.3), _tabulated, 2.0, None),
+    "tau1_above_tau2": (_readme_params(0.3, 0.05),
+                        lambda p: History.constant(p, (0.5, 0.3, 0.2)),
+                        2.0, None),
+    "equal_delays_sine": (_readme_params(), lambda p:
+                          History.equilibrium_plus_sine(
+                              p, (0.02, 0.01, 0.0), 7.0, phase=0.3),
+                          3.0, None),
+    "equal_delays_tabulated": (_readme_params(), _tabulated, 2.0, None),
     "explicit_step": (_readme_params(0.1, 0.1234),
                       lambda p: History.constant(p, (0.5, 0.3, 0.2)),
                       2.0, 0.1 / 37),
@@ -185,6 +194,18 @@ class TestHistory:
         thetas = np.linspace(-case2_params.tau_max, 0.0, 10)
         hist = History.tabulated(case2_params, thetas, np.full((10, 3), 0.5))
         assert hist.analytic_max_abs_deviation(0, (-0.1, 0.0), 0.0) is None
+
+    def test_tabulated_sup_covers_dense_grid(self, case2_params):
+        knots = np.linspace(-case2_params.tau_max, 0.0, 9)
+        hist = History.tabulated(case2_params, knots, np.column_stack(
+            [0.5 + 0.1 * np.sin(40.0 * knots), 0.3 + 0.2 * np.cos(55.0 * knots),
+             0.1 + 0.0 * knots]))
+        for i, window in ((0, (-0.1, 0.0)), (1, (-0.07, -0.02))):
+            sup = hist.sup_abs_deviation(i, window, 0.4)
+            dense = max(abs(hist.component(i, t) - 0.4)
+                        for t in np.linspace(*window, 100001).tolist())
+            assert dense <= sup <= dense + 1e-9
+            assert hist.max_abs_deviation(i, window, 0.4) <= sup
 
 
 class TestIntegrate:
@@ -257,6 +278,26 @@ class TestIntegrate:
         traj = integrate(p, hist, t_end, step=step)
         assert np.array_equal(traj.states, states)
         assert np.array_equal(traj.derivs, derivs)
+
+    # delayed lookups per block: one per distinct positive delay
+    @pytest.mark.parametrize("taus, per_block", [
+        ((0.1, 0.1), 1), ((0.1, 0.1234), 2), ((0.3, 0.05), 2),
+        ((0.0, 0.1), 1), ((0.1, 0.0), 1),
+    ])
+    def test_dense_lookups_per_block(self, monkeypatch, taus, per_block):
+        calls, dense = [], simulate._dense
+
+        def counting(*args):
+            calls.append(args[-1].size)
+            return dense(*args)
+
+        monkeypatch.setattr(simulate, "_dense", counting)
+        p = _readme_params(*taus)
+        traj = integrate(p, History.constant(p, (0.5, 0.3, 0.2)), 2.0)
+        n = traj.states.shape[0] - 1
+        block = math.floor(min(t for t in taus if t > 0.0) / traj.step) - 2
+        assert len(calls) == per_block * math.ceil((n + 1) / block)
+        assert sum(calls) == per_block * 3 * (n + 1)
 
     @pytest.mark.parametrize("x_start, message", [
         (1e150, "non-finite state at t = 0.0005"),

@@ -8,7 +8,8 @@ from planktonfish import (DomainError, History, build_certificate,
                           check_differential_inequality, check_envelope,
                           check_initial_conditions, derive_params, eval_V0,
                           eval_V_along, eval_V_many, extend_history,
-                          gronwall_bound, integrate, predicted_envelope)
+                          gronwall_bound, integrate, plankton_only_point,
+                          predicted_envelope)
 from planktonfish.verify import (V_CHUNK, V_QUAD_SUBINTERVALS, _kernel_bases,
                                  _quadratic_forms, _simpson_weights,
                                  condition_rhs, write_verification_csv)
@@ -48,6 +49,29 @@ class TestExtendedHistory:
         hist = History.equilibrium_plus_constant(case2_params, (0.0, 0.0, 0.0))
         ext = extend_history(hist, case2_params)
         assert not ext.eval_many(np.linspace(-0.1, 0.0, 11)).any()
+
+    @pytest.mark.parametrize("kind", ["constant", "sine", "tabulated"])
+    def test_eval_many_matches_pointwise(self, kind):
+        p = derive_params(r=1, K=1, c1=1, c2=1, d1=1.5, d2=1, b1=3, b2=1,
+                          tau1=0.05, tau2=0.2)
+        if kind == "constant":
+            hist = History.constant(p, (0.5, 0.3, 0.2))
+        elif kind == "sine":
+            hist = History.equilibrium_plus_sine(p, (0.02, 0.01, 0.0), 9.0,
+                                                 phase=0.4)
+        else:
+            knots = np.linspace(-p.tau_max, 0.0, 17)
+            hist = History.tabulated(p, knots, np.column_stack(
+                [0.5 + 0.1 * np.cos(9.0 * knots), 0.3 + knots ** 2,
+                 0.1 - 0.2 * knots]))
+        ext = extend_history(hist, p)
+        edges = [-p.tau2, -p.tau1, 0.0]
+        thetas = np.concatenate((
+            np.linspace(-p.tau2, 0.0, 41), np.linspace(-p.tau1, 0.0, 13),
+            edges, np.nextafter(edges, -1.0), np.nextafter(edges, 1.0),
+            [-0.3, -1.0]))
+        assert np.array_equal(ext.eval_many(thetas),
+                              np.array([ext(t) for t in thetas.tolist()]))
 
 
 class TestEvalV0:
@@ -120,6 +144,24 @@ class TestInitialConditions:
         assert "45" in failed or "46" in failed
         worst = min(report.conditions[k].margin for k in failed)
         assert worst < 0
+
+    def test_window_sup_is_taken_from_above(self, case2_params, case2_cert):
+        # a sine whose peak falls midway between two points of a 1024-point
+        # grid on the window, where a grid maximum misses it
+        window = (-case2_params.tau1, 0.0)
+        grid = np.linspace(*window, 1024)
+        peak = 0.5 * (grid[500] + grid[501])
+        w, amp = 300.0, 0.07
+        hist = History.equilibrium_plus_sine(case2_params, (0.0, amp, 0.0), w,
+                                             phase=math.pi / 2 - w * peak)
+        _, y0 = plankton_only_point(case2_params)
+        true_sup = abs(y0 + amp * math.sin(w * peak + hist.meta["phase"])
+                       - case2_cert.y0)
+        assert hist.max_abs_deviation(1, window, case2_cert.y0) < true_sup
+        report = check_initial_conditions(
+            hist, extend_history(hist, case2_params), case2_cert, case2_params)
+        assert report.conditions["45"].lhs >= true_sup
+        assert report.conditions["46"].lhs >= true_sup
 
     def test_margins_improve_under_shrinking(self, admissible):
         p, cert, hist, report, delta = admissible
