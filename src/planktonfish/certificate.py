@@ -152,6 +152,8 @@ def build_certificate(p: ModelParams,
         raise DomainError("mu_fraction must lie in (0, 1/2)")
     if not 0.0 < options.m_fraction < 1.0:
         raise DomainError("m_fraction must lie in (0, 1)")
+    if not 0.0 < options.alpha < math.inf:
+        raise DomainError("alpha must be positive and finite")
     m1, m2 = choose_rates(p, options)
     lin = linearize(p)
     x0, y0 = lin.x0, lin.y0
@@ -235,17 +237,21 @@ def build_certificate(p: ModelParams,
         sigma=sigma, epsilon=epsilon, q=q)
 
 
+def kernel_base(cert: LKCertificate, which: int) -> np.ndarray:
+    """Constant factor base_i of the delay kernel K_i(s) = exp(-m_i s) base_i."""
+    lin = cert.lin
+    if which == 1:
+        return cert.alpha * lin.B1.T @ lin.B1 + cert.mu1 * cert.H1
+    if which == 2:
+        return cert.beta * lin.B2.T @ lin.B2 + cert.mu2 * cert.H2
+    raise DomainError("which must be 1 or 2")
+
+
 def eval_K(cert: LKCertificate, which: int, s: float) -> np.ndarray:
     """Delay kernel K1(s) or K2(s) as a symmetric 3x3 matrix."""
+    base = kernel_base(cert, which)
     p = cert.params
-    if which == 1:
-        tau, m = p.tau1, cert.m1
-        base = cert.alpha * cert.lin.B1.T @ cert.lin.B1 + cert.mu1 * cert.H1
-    elif which == 2:
-        tau, m = p.tau2, cert.m2
-        base = cert.beta * cert.lin.B2.T @ cert.lin.B2 + cert.mu2 * cert.H2
-    else:
-        raise DomainError("which must be 1 or 2")
+    tau, m = (p.tau1, cert.m1) if which == 1 else (p.tau2, cert.m2)
     if not 0.0 <= s <= tau:
         raise DomainError(f"s = {s!r} outside [0, {tau}]")
     return math.exp(-m * s) * base
@@ -258,6 +264,17 @@ def _supported_submatrix(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return a[np.ix_(keep, keep)], zero
 
 
+def _block_matrix(A, B1, B2, H, K1_0, K2_0, K1_tau, K2_tau) -> np.ndarray:
+    """The symmetrized 3n x 3n block matrix C of a two-delay certificate."""
+    Z = np.zeros(A.shape)
+    C = -np.block([
+        [H @ A + A.T @ H + K1_0 + K2_0, H @ B1, H @ B2],
+        [B1.T @ H, -K1_tau, Z],
+        [B2.T @ H, Z, -K2_tau],
+    ])
+    return 0.5 * (C + C.T)
+
+
 def assemble_C(cert: LKCertificate,
                lin: LinearizedSystem | None = None) -> BlockMatrixReport:
     """The 9x9 block matrix whose definiteness certifies decay.
@@ -268,18 +285,9 @@ def assemble_C(cert: LKCertificate,
     """
     lin = lin or cert.lin
     p = cert.params
-    H = cert.H
-    K10 = eval_K(cert, 1, 0.0)
-    K20 = eval_K(cert, 2, 0.0)
-    K1t = eval_K(cert, 1, p.tau1)
-    K2t = eval_K(cert, 2, p.tau2)
-    Z = np.zeros((3, 3))
-    C = -np.block([
-        [H @ lin.A + lin.A.T @ H + K10 + K20, H @ lin.B1, H @ lin.B2],
-        [lin.B1.T @ H, -K1t, Z],
-        [lin.B2.T @ H, Z, -K2t],
-    ])
-    C = 0.5 * (C + C.T)
+    C = _block_matrix(lin.A, lin.B1, lin.B2, cert.H,
+                      eval_K(cert, 1, 0.0), eval_K(cert, 2, 0.0),
+                      eval_K(cert, 1, p.tau1), eval_K(cert, 2, p.tau2))
     sub, zero_rows = _supported_submatrix(C)
     pd, min_sub = is_positive_definite(sub)
     _, min_full = is_positive_definite(C)
@@ -331,13 +339,8 @@ def check_generic_certificate(A, B1, B2, H, K1_samples,
             if not pd:
                 return GenericCheckResult(
                     False, f"{name} not strictly decreasing at sample {i}")
-    Z = np.zeros((n, n))
-    C = -np.block([
-        [H @ A + A.T @ H + samples[0][1][0] + samples[1][1][0], H @ B1, H @ B2],
-        [B1.T @ H, -samples[0][1][-1], Z],
-        [B2.T @ H, Z, -samples[1][1][-1]],
-    ])
-    C = 0.5 * (C + C.T)
+    (_, k1), (_, k2) = samples
+    C = _block_matrix(A, B1, B2, H, k1[0], k2[0], k1[-1], k2[-1])
     sub, _ = _supported_submatrix(C)
     pd, _ = is_positive_definite(sub)
     if not pd:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,12 +68,23 @@ def _positive_int(mapping, key, default, where) -> int:
     value = mapping.get(key, default)
     try:
         n = int(value)
+        float(n)  # an int beyond float range cannot enter the step arithmetic
     except (TypeError, ValueError, OverflowError):
         n = 0
     if n < 1 or n != value:
         raise ConfigError(f"{where}.{key} must be a positive integer, "
                           f"got {value!r}")
     return n
+
+
+def _section(tree, key) -> dict:
+    # an absent or empty (null) section takes every default
+    value = tree.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be a mapping, got {value!r}")
+    return value
 
 
 def load_scenario(config_path) -> Scenario:
@@ -97,28 +108,30 @@ def load_scenario(config_path) -> Scenario:
     if not isinstance(params, dict):
         raise ConfigError("'params' must be a mapping of rate names to numbers")
 
-    hist = tree.get("history", {}) or {}
+    hist = _section(tree, "history")
     preset = hist.get("preset", "equilibrium_plus_constant")
     if preset not in _HISTORY_PRESETS:
         raise ConfigError(f"history.preset must be one of {_HISTORY_PRESETS}, "
                           f"got {preset!r}")
     history_args = {k: v for k, v in hist.items() if k != "preset"}
 
-    solver = tree.get("solver", {}) or {}
-    overrides = tree.get("overrides", {}) or {}
-    outputs = tree.get("outputs", {}) or {}
-    files = tuple(outputs.get("files", _OUTPUT_FILES))
+    solver = _section(tree, "solver")
+    overrides = _section(tree, "overrides")
+    outputs = _section(tree, "outputs")
+    files = outputs.get("files", _OUTPUT_FILES)
+    if not isinstance(files, (list, tuple)):
+        raise ConfigError(f"outputs.files must be a list of file kinds, "
+                          f"got {files!r}")
+    files = tuple(files)
     for f in files:
         if f not in _OUTPUT_FILES:
             raise ConfigError(f"unknown output file kind {f!r}")
     step_divisor = _positive_int(solver, "step_divisor", 20, "solver")
     stride = _positive_int(solver, "stride", 1, "solver")
     try:
-        options = CertificateOptions(
-            alpha=float(overrides.get("alpha", 1.0)),
-            m_fraction=float(overrides.get("m_fraction", 0.5)),
-            mu_fraction=float(overrides.get("mu_fraction", 0.25)),
-            h33_factor=float(overrides.get("h33_factor", 2.0)))
+        options = CertificateOptions(**{
+            f.name: float(overrides.get(f.name, f.default))
+            for f in fields(CertificateOptions)})
         return Scenario(
             params=dict(params),
             history_preset=preset,
@@ -129,7 +142,7 @@ def load_scenario(config_path) -> Scenario:
             options=options,
             out_dir=str(outputs.get("dir", "out")),
             files=files)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario field: {exc}") from exc
 
 
@@ -153,8 +166,10 @@ def build_history(scenario: Scenario, p: ModelParams) -> History:
     except ConfigError:
         raise
     # ValueError covers DomainError, a non-numeric table cell (np.loadtxt)
-    # and a theta column that is not strictly increasing (CubicSpline)
-    except (ValueError, OSError, IndexError) as exc:
+    # and a theta column that is not strictly increasing (CubicSpline);
+    # TypeError a value of the wrong type, such as ``offsets: null``, and
+    # OverflowError an integer too large for a float
+    except (ValueError, TypeError, OverflowError, OSError, IndexError) as exc:
         raise ConfigError(f"invalid history: {exc}") from exc
 
 
@@ -229,7 +244,7 @@ def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
 
     try:
         p = derive_params(**scenario.params)
-    except (ParameterError, TypeError) as exc:
+    except (ParameterError, TypeError, OverflowError) as exc:
         return input_error(exc)
     step = default_step(p, scenario.step_divisor)
     # the differential-inequality check differences V at t +- step on
@@ -348,14 +363,9 @@ def _set_scenario_value(scenario: Scenario, key: str, value: float):
     elif parts[0] == "history" and len(parts) == 2:
         scenario.history_args[parts[1]] = value
     elif parts[0] == "overrides" and len(parts) == 2:
-        kwargs = {"alpha": scenario.options.alpha,
-                  "m_fraction": scenario.options.m_fraction,
-                  "mu_fraction": scenario.options.mu_fraction,
-                  "h33_factor": scenario.options.h33_factor}
-        if parts[1] not in kwargs:
+        if parts[1] not in {f.name for f in fields(CertificateOptions)}:
             raise ConfigError(f"unknown override {parts[1]!r}")
-        kwargs[parts[1]] = value
-        scenario.options = CertificateOptions(**kwargs)
+        scenario.options = replace(scenario.options, **{parts[1]: value})
     else:
         raise ConfigError(f"key {key!r} does not address a scalar field")
 

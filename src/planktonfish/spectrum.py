@@ -21,7 +21,8 @@ Rect = tuple[float, float, float, float]  # (re_min, re_max, im_min, im_max)
 
 ROOT_RESIDUAL_TOL = 1e-9
 _MAX_DEPTH = 12
-WINDING_CHUNK = 64  # rectangles per batched boundary evaluation
+WINDING_CHUNK = 64  # rectangles per batched boundary evaluation at n = 64;
+# larger n takes proportionally fewer, so a call's size stays bounded
 
 
 @dataclass(frozen=True)
@@ -156,30 +157,6 @@ def _phase_counts(rects: np.ndarray, n: int, lin, p):
     return np.rint(dphi.sum(axis=1) / (2.0 * np.pi)), hit, ok
 
 
-def _winding(rect: Rect, lin, p, depth: int = 0) -> int:
-    """Winding number of Q around the rectangle boundary.
-
-    Phase increments are tracked on progressively denser samplings until
-    no step exceeds pi/2.  A boundary sample with |Q| ~ 0, or a sign
-    change of Q between two consecutive samples on the real axis (where
-    Q is real, so the step is exactly pi at every density), means a root
-    sits on the boundary; the rectangle is then jittered (slightly
-    enlarged) at once instead of refined.
-    """
-    if depth > _MAX_DEPTH:
-        raise RuntimeError("root scan: contour jitter depth exceeded")
-    rects = np.array([rect])
-    n = 64
-    while n <= 8192:
-        counts, hit, ok = _phase_counts(rects, n, lin, p)
-        if hit[0]:
-            break
-        if ok[0]:
-            return int(counts[0])
-        n *= 2
-    return _winding(_grown(rect, depth), lin, p, depth + 1)
-
-
 def _grown(rect: Rect, depth: int) -> Rect:
     # a root sits on or very near the boundary: enlarge slightly
     size = rect[1] - rect[0] + rect[3] - rect[2]
@@ -188,25 +165,45 @@ def _grown(rect: Rect, depth: int) -> Rect:
 
 
 def _windings(rects: list[Rect], lin, p) -> list[int]:
-    """``_winding`` of each rectangle, the first sampling batched.
+    """Winding number of Q around each rectangle's boundary.
 
-    The n = 64 boundaries of ``WINDING_CHUNK`` rectangles are evaluated
-    in one call.  Only rectangles that fail that first test go on to the
-    scalar ``_winding``: jittered at once when the boundary meets a root,
-    refined from n = 64 otherwise.
+    Phase increments are tracked on progressively denser samplings,
+    n = 64, 128, ..., 8192 per edge, until no step exceeds pi/2.  A
+    boundary sample with |Q| ~ 0, or a sign change of Q between two
+    consecutive samples on the real axis (where Q is real, so the step is
+    exactly pi at every density), means a root sits on the boundary; the
+    rectangle is then jittered (slightly enlarged) at once and restarts
+    at n = 64, as it does when n = 8192 still fails.
+
+    All rectangles climb their ladders together, breadth first: each
+    round groups the pending rectangles by n and evaluates them in
+    ``_phase_counts`` calls of at most ``WINDING_CHUNK * 64`` samples per
+    edge in total (one rectangle per call where n alone is larger).
     """
-    out: list[int] = []
-    for start in range(0, len(rects), WINDING_CHUNK):
-        chunk = rects[start:start + WINDING_CHUNK]
-        counts, hit, ok = _phase_counts(np.array(chunk), 64, lin, p)
-        for rect, c, jitter, accepted in zip(chunk, counts.tolist(),
-                                             hit.tolist(), ok.tolist()):
-            if accepted:
-                out.append(int(c))
-            elif jitter:
-                out.append(_winding(_grown(rect, 0), lin, p, 1))
-            else:
-                out.append(_winding(rect, lin, p))
+    out = [0] * len(rects)
+    pending = [(i, rect, 0, 64) for i, rect in enumerate(rects)]
+    while pending:
+        by_n: dict[int, list] = {}
+        for entry in pending:
+            by_n.setdefault(entry[3], []).append(entry)
+        pending = []
+        for n, group in by_n.items():
+            size = max(1, WINDING_CHUNK * 64 // n)
+            for start in range(0, len(group), size):
+                chunk = group[start:start + size]
+                counts, hit, ok = _phase_counts(
+                    np.array([rect for _, rect, _, _ in chunk]), n, lin, p)
+                for (i, rect, depth, _), c, jitter, accepted in zip(
+                        chunk, counts.tolist(), hit.tolist(), ok.tolist()):
+                    if accepted:
+                        out[i] = int(c)
+                    elif jitter or n == 8192:
+                        if depth >= _MAX_DEPTH:
+                            raise RuntimeError(
+                                "root scan: contour jitter depth exceeded")
+                        pending.append((i, _grown(rect, depth), depth + 1, 64))
+                    else:
+                        pending.append((i, rect, depth, 2 * n))
     return out
 
 
@@ -231,28 +228,51 @@ def _in_rect(z: complex, rect: Rect, slack: float = 1e-9) -> bool:
     return re0 - w <= z.real <= re1 + w and im0 - w <= z.imag <= im1 + w
 
 
-def _roots_in_rect(rect: Rect, count: int, lin, p,
-                   depth: int = 0) -> list[complex]:
-    # ``count`` is the rectangle's winding number, known by the caller
-    center = complex(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]))
-    root = _newton(center, lin, p)
-    if (count == 1 and root is not None and _in_rect(root, rect)
-            and abs(_q_vec(np.array([root]), lin, p)[0]) <= ROOT_RESIDUAL_TOL):
-        return [root]
-    tiny = (rect[1] - rect[0] < 1e-8) and (rect[3] - rect[2] < 1e-8)
-    if depth >= _MAX_DEPTH or tiny:
-        if root is not None and _in_rect(root, rect):
-            return [root]
-        return []
-    rm = 0.5 * (rect[0] + rect[1])
-    im = 0.5 * (rect[2] + rect[3])
-    quads = [(rect[0], rm, rect[2], im), (rm, rect[1], rect[2], im),
-             (rect[0], rm, im, rect[3]), (rm, rect[1], im, rect[3])]
-    found: list[complex] = []
-    for quad, c in zip(quads, _windings(quads, lin, p)):
-        if c != 0:
-            found.extend(_roots_in_rect(quad, c, lin, p, depth + 1))
-    return found
+def _roots_in_rects(rects: list[Rect], counts: list[int], lin,
+                    p) -> list[complex]:
+    """Roots inside rectangles of known winding number, subdivided level by level.
+
+    Newton runs from the centre of every rectangle of a level.  A
+    rectangle with winding number 1 whose Newton root lies inside it with
+    residual <= ``ROOT_RESIDUAL_TOL`` yields that root; one at depth
+    ``_MAX_DEPTH`` or below 1e-8 on both sides yields its Newton root if
+    inside; every other rectangle splits into quadrants.  The quadrants of
+    the whole level get their winding numbers from one ``_windings`` call,
+    and those with winding number 0 are dropped.  Each root is tagged with
+    its path (rectangle index, then quadrant indices), so sorting by path
+    gives the depth-first order.
+    """
+    found: list[tuple[tuple[int, ...], complex]] = []
+    level = [((k,), rect, c) for k, (rect, c) in enumerate(zip(rects, counts))
+             if c != 0]
+    depth = 0
+    while level:
+        quads: list[tuple[tuple[int, ...], Rect]] = []
+        for path, rect, count in level:
+            center = complex(0.5 * (rect[0] + rect[1]),
+                             0.5 * (rect[2] + rect[3]))
+            root = _newton(center, lin, p)
+            if (count == 1 and root is not None and _in_rect(root, rect)
+                    and abs(_q_vec(np.array([root]), lin, p)[0])
+                    <= ROOT_RESIDUAL_TOL):
+                found.append((path, root))
+                continue
+            tiny = (rect[1] - rect[0] < 1e-8) and (rect[3] - rect[2] < 1e-8)
+            if depth >= _MAX_DEPTH or tiny:
+                if root is not None and _in_rect(root, rect):
+                    found.append((path, root))
+                continue
+            rm = 0.5 * (rect[0] + rect[1])
+            im = 0.5 * (rect[2] + rect[3])
+            quads += [(path + (j,), quad) for j, quad in enumerate((
+                (rect[0], rm, rect[2], im), (rm, rect[1], rect[2], im),
+                (rect[0], rm, im, rect[3]), (rm, rect[1], im, rect[3])))]
+        windings = _windings([quad for _, quad in quads], lin, p)
+        level = [(path, quad, c)
+                 for (path, quad), c in zip(quads, windings) if c != 0]
+        depth += 1
+    found.sort(key=lambda item: item[0])
+    return [z for _, z in found]
 
 
 def root_scan(lin: LinearizedSystem, p: ModelParams,
@@ -263,12 +283,12 @@ def root_scan(lin: LinearizedSystem, p: ModelParams,
     Argument-principle winding counts over a coarse grid of
     sub-rectangles select candidates, which are then resolved by
     adaptive subdivision and Newton polishing.  Every reported root has
-    residual |Q| <= 1e-9.  The first (n = 64) sampling of all grid cells,
-    and of the four quadrants of each subdivision, is evaluated in one
-    batched call per ``WINDING_CHUNK`` rectangles; each rectangle's
-    winding number is computed once and passed down, and quadrants with
-    winding number 0 are not entered.  Edges on the real axis that
-    straddle a root are jittered at once (see ``_winding``).
+    residual |Q| <= 1e-9.  Each rectangle's winding number is computed
+    once and passed down, and quadrants with winding number 0 are not
+    entered.  The grid cells, and then the quadrants of each subdivision
+    level, go through one breadth-first ``_windings`` call, which batches
+    every boundary sampling of their refinement ladders; edges on the
+    real axis that straddle a root are jittered at once.
     """
     if region is None:
         region = default_region(p)
@@ -283,11 +303,9 @@ def root_scan(lin: LinearizedSystem, p: ModelParams,
     subs = [(float(re_edges[i]), float(re_edges[i + 1]),
              float(im_edges[j]), float(im_edges[j + 1]))
             for i in range(nr) for j in range(ni)]
-    counts = list(zip(subs, _windings(subs, lin, p)))
-    roots: list[complex] = []
-    for sub, c in counts:
-        if c != 0:
-            roots.extend(_roots_in_rect(sub, c, lin, p))
+    windings = _windings(subs, lin, p)
+    counts = list(zip(subs, windings))
+    roots = _roots_in_rects(subs, windings, lin, p)
     polished: list[complex] = []
     residuals: list[float] = []
     for z in roots:

@@ -1,10 +1,13 @@
 """Small dense symmetric linear algebra for certificate checks.
 
-Self-contained Jacobi eigensolver, Cholesky-style positive-definiteness
-test, and inverse square root, for matrices up to 9x9.
+Eigen-decomposition, positive-definiteness test and inverse square root
+for symmetric matrices up to 9x9, on LAPACK through ``numpy.linalg``
+(``eigh``, ``eigvalsh`` and ``cholesky``).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -47,67 +50,28 @@ def _as_sym_array(M) -> np.ndarray:
     return SymMatrix.from_array(M).array()
 
 
-def sym_eigen(M, sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthogonal eigenvectors, cyclic Jacobi.
-
-    Terminates when the off-diagonal Frobenius norm drops below
-    1e-12 * ||M||; raises if that takes more than ``sweeps`` sweeps.
-    """
-    a = _as_sym_array(M)
-    n = a.shape[0]
-    v = np.eye(n)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n), v
-    for _ in range(sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= 1e-12 * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    else:
-        raise RuntimeError("Jacobi eigensolver failed to converge")
-    order = np.argsort(np.diag(a))
-    return np.diag(a)[order].copy(), v[:, order]
+def sym_eigen(M) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors (LAPACK ``eigh``)."""
+    return np.linalg.eigh(_as_sym_array(M))
 
 
 def is_positive_definite(M) -> tuple[bool, float]:
     """(PD flag, smallest eigenvalue).
 
-    The flag comes from an unpivoted Cholesky attempt with all pivots
-    required to exceed 1e-13 * ||M||; the eigenvalue is from
-    :func:`sym_eigen` for reporting.
+    The flag comes from an unpivoted Cholesky factorization with all
+    pivots (the squared diagonal of the factor) required to exceed
+    1e-13 * ||M||_F; a failed factorization or a non-finite entry gives
+    False.  The eigenvalue is for reporting (NaN for a non-finite M).
     """
     a = _as_sym_array(M)
-    n = a.shape[0]
+    if not np.isfinite(a).all():
+        return False, math.nan
     tol = _PD_TOL * max(np.linalg.norm(a), 1e-300)
-    pd = True
-    work = a.copy()
-    for k in range(n):
-        pivot = work[k, k]
-        if pivot <= tol:
-            pd = False
-            break
-        lk = work[k + 1:, k] / pivot
-        work[k + 1:, k + 1:] -= np.outer(lk, work[k, k + 1:])
-    eigvals, _ = sym_eigen(a)
-    return pd, float(eigvals[0])
+    try:
+        pd = bool((np.diag(np.linalg.cholesky(a)) ** 2 > tol).all())
+    except np.linalg.LinAlgError:
+        pd = False
+    return pd, float(np.linalg.eigvalsh(a)[0])
 
 
 def inv_sqrt(M) -> SymMatrix:
@@ -117,7 +81,7 @@ def inv_sqrt(M) -> SymMatrix:
     if not pd:
         raise DomainError(f"inv_sqrt requires a positive definite matrix "
                           f"(min eigenvalue {min_eig:g})")
-    eigvals, vecs = sym_eigen(a)
+    eigvals, vecs = np.linalg.eigh(a)
     root = vecs @ np.diag(1.0 / np.sqrt(eigvals)) @ vecs.T
     # numerical symmetrization before wrapping
     return SymMatrix.from_array(0.5 * (root + root.T))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificate import LKCertificate
+from .certificate import LKCertificate, kernel_base
 from .errors import DomainError
 from .model import ModelParams
 from .simulate import History, Trajectory
@@ -114,13 +114,6 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def _kernel_bases(cert: LKCertificate) -> tuple[np.ndarray, np.ndarray]:
-    b1, b2 = cert.lin.B1, cert.lin.B2
-    base1 = cert.alpha * b1.T @ b1 + cert.mu1 * cert.H1
-    base2 = cert.beta * b2.T @ b2 + cert.mu2 * cert.H2
-    return base1, base2
-
-
 def _quadratic_forms(values: np.ndarray, base: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk,ik->i", values, base, values)
 
@@ -135,7 +128,7 @@ def eval_V0(ext: ExtendedHistory, cert: LKCertificate,
     # a huge initial offset overflows to V0 = inf: inadmissible, not an error
     with np.errstate(over="ignore"):
         total = float(v0 @ cert.H @ v0)
-    base1, base2 = _kernel_bases(cert)
+    base1, base2 = kernel_base(cert, 1), kernel_base(cert, 2)
     for tau, m, base in ((p.tau1, cert.m1, base1), (p.tau2, cert.m2, base2)):
         thetas = np.linspace(-tau, 0.0, subintervals + 1)
         vals = ext.eval_many(thetas)
@@ -231,7 +224,7 @@ def eval_V_many(traj: Trajectory, cert: LKCertificate, p: ModelParams,
                           f"outside [0, {traj.t_end}]")
     ext = extend_history(traj.history, p)
     shift = np.array([cert.x0, cert.y0, 0.0])
-    base1, base2 = _kernel_bases(cert)
+    base1, base2 = kernel_base(cert, 1), kernel_base(cert, 2)
     windows = [(tau, m, base, _simpson_weights(subintervals, tau / subintervals))
                for tau, m, base in ((p.tau1, cert.m1, base1),
                                     (p.tau2, cert.m2, base2))]

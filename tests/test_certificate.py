@@ -142,6 +142,9 @@ class TestBuildCertificate:
             build_certificate(case2_params, CertificateOptions(mu_fraction=0.6))
         with pytest.raises(DomainError):
             build_certificate(case2_params, CertificateOptions(m_fraction=1.5))
+        for alpha in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="alpha"):
+                build_certificate(case2_params, CertificateOptions(alpha=alpha))
 
     def test_alpha_scales_the_quadratic_data(self, case2_params):
         # H and L are homogeneous of degree one in alpha, so sigma is invariant

@@ -203,6 +203,46 @@ class TestRunScenario:
             "input error: invalid history: could not convert string to "
             "float: 'abc'\n")
 
+    @pytest.mark.parametrize("section, value, message", [
+        ("outputs", [1, 2], "'outputs' must be a mapping, got [1, 2]"),
+        ("solver", [1], "'solver' must be a mapping, got [1]"),
+        ("history", [1], "'history' must be a mapping, got [1]"),
+        ("overrides", [1], "'overrides' must be a mapping, got [1]"),
+        ("outputs", {"files": 5},
+         "outputs.files must be a list of file kinds, got 5"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_non_mapping_section_is_input_error(self, tmp_path, capsys,
+                                                command, section, value,
+                                                message):
+        tree = {"params": CASE2, "horizon": 1.0, section: value}
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        out = tmp_path / "out"
+        argv = [command, cfg, "--out", str(out)]
+        if command == "sweep":
+            argv += ["--key", "params.d1", "--values", "1.5"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().out == f"input error: {message}\n"
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("key", ["params.r", "horizon", "history.offsets",
+                                     "solver.step_divisor", "overrides.alpha"])
+    def test_integer_beyond_float_range_is_input_error(self, tmp_path, capsys,
+                                                       key):
+        tree = {"params": dict(CASE2), "horizon": 1.0,
+                "history": {"preset": "equilibrium_plus_constant",
+                            "offsets": [0.0, 0.0, 0.0]},
+                "solver": {}, "overrides": {}}
+        *parents, name = key.split(".")
+        node = tree
+        for part in parents:
+            node = node[part]
+        huge = 10 ** 400
+        node[name] = [huge, 0, 0] if name == "offsets" else huge
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().out.startswith("input error: ")
+
     def test_output_selection(self, tmp_path):
         tree = {
             "params": CASE2,

@@ -292,11 +292,34 @@ class TestRootScanParity:
             # the grown rectangle is the first boundary below the real axis
             return next(i for i, z in enumerate(calls) if z.imag.min() < 0.0)
 
-        count = spectrum._winding(rect, lin, p)
+        count = spectrum._windings([rect], lin, p)[0]
         assert samplings_before_jitter() == 1 and calls[0].size == 256
         calls.clear()
         assert _reference_winding(rect, lin, p) == count
         assert samplings_before_jitter() == 8  # n = 64, 128, ..., 8192
+
+    @pytest.mark.parametrize("taus, grid, max_calls", [
+        ((0.1, 0.1), (8, 8), 14), ((0.3, 0.05), (8, 8), 12),
+        ((0.1, 0.1), (12, 10), 11)])
+    def test_batched_ladder_work(self, taus, grid, max_calls, monkeypatch):
+        # README rates; the depth-first scan with only the first sampling
+        # batched made 27, 25 and 20 calls
+        p = derive_params(r=1.0, K=1.0, c1=1.0, c2=1.0, d1=1.5, d2=1.0,
+                          b1=3.0, b2=1.0, tau1=taus[0], tau2=taus[1])
+        lin = linearize(p)
+        shapes = []
+        phase_counts = spectrum._phase_counts
+
+        def recording(rects, n, lin, p):
+            shapes.append((len(rects), n))
+            return phase_counts(rects, n, lin, p)
+
+        monkeypatch.setattr(spectrum, "_phase_counts", recording)
+        report = root_scan(lin, p, grid=grid)
+        assert report.roots
+        assert all(rows * n <= spectrum.WINDING_CHUNK * 64
+                   for rows, n in shapes), shapes
+        assert len(shapes) <= max_calls, shapes
 
 
 def _fish_factor_roots(p, lin):

@@ -10,7 +10,7 @@ from planktonfish import (DomainError, History, build_certificate,
                           eval_V_along, eval_V_many, extend_history,
                           gronwall_bound, integrate, plankton_only_point,
                           predicted_envelope)
-from planktonfish.verify import (V_CHUNK, V_QUAD_SUBINTERVALS, _kernel_bases,
+from planktonfish.verify import (V_CHUNK, V_QUAD_SUBINTERVALS,
                                  _quadratic_forms, _simpson_weights,
                                  condition_rhs, write_verification_csv)
 
@@ -252,7 +252,9 @@ def _reference_eval_V_along(traj, cert, p, t,
     shift = np.array([cert.x0, cert.y0, 0.0])
     vt = np.asarray(traj.sample(t)) - shift
     total = float(vt @ cert.H @ vt)
-    base1, base2 = _kernel_bases(cert)
+    b1, b2 = cert.lin.B1, cert.lin.B2
+    base1 = cert.alpha * b1.T @ b1 + cert.mu1 * cert.H1
+    base2 = cert.beta * b2.T @ b2 + cert.mu2 * cert.H2
     for tau, m, base in ((p.tau1, cert.m1, base1), (p.tau2, cert.m2, base2)):
         s = np.linspace(t - tau, t, subintervals + 1)
         vals = np.empty((s.size, 3))
