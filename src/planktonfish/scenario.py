@@ -77,13 +77,23 @@ def _positive_int(mapping, key, default, where) -> int:
     return n
 
 
-def _section(tree, key) -> dict:
-    # an absent or empty (null) section takes every default
+def _check_keys(mapping, known, where):
+    # the first key not in ``known``, in file order, is the one reported
+    for name in mapping:
+        if name not in known:
+            raise ConfigError(f"unknown key {name!r} in {where}")
+
+
+def _section(tree, key, known=None) -> dict:
+    # an absent or empty (null) section takes every default; with ``known``
+    # given, any other key in the section is an error
     value = tree.get(key)
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(f"{key!r} must be a mapping, got {value!r}")
+    if known is not None:
+        _check_keys(value, known, repr(key))
     return value
 
 
@@ -99,10 +109,8 @@ def load_scenario(config_path) -> Scenario:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(tree, dict):
         raise ConfigError(f"config {path} must be a mapping at top level")
-    unknown = set(tree) - {"params", "history", "horizon", "solver",
-                           "overrides", "outputs"}
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+    _check_keys(tree, ("params", "history", "horizon", "solver", "overrides",
+                       "outputs"), "the top level")
 
     params = _require(tree, "params", "config")
     if not isinstance(params, dict):
@@ -115,9 +123,10 @@ def load_scenario(config_path) -> Scenario:
                           f"got {preset!r}")
     history_args = {k: v for k, v in hist.items() if k != "preset"}
 
-    solver = _section(tree, "solver")
-    overrides = _section(tree, "overrides")
-    outputs = _section(tree, "outputs")
+    solver = _section(tree, "solver", ("step_divisor", "stride"))
+    overrides = _section(tree, "overrides",
+                         [f.name for f in fields(CertificateOptions)])
+    outputs = _section(tree, "outputs", ("dir", "files"))
     files = outputs.get("files", _OUTPUT_FILES)
     if not isinstance(files, (list, tuple)):
         raise ConfigError(f"outputs.files must be a list of file kinds, "

@@ -21,7 +21,7 @@ from .errors import DomainError, IntegrationError
 from .model import ModelParams, plankton_only_point
 
 POSITIVITY_TOL = 1e-9
-_GRID = 257  # validation / window-max sampling per history component
+_GRID = 257  # validation points per history component window
 _CSV_CHUNK = 4096  # trajectory rows formatted per write
 
 
@@ -29,52 +29,60 @@ class History:
     """Initial functions (phi, psi, eta) on the delay windows.
 
     Built through one of the preset constructors or ``tabulated``.  Each
-    component is evaluated on [-tau_max, 0]; the per-component windows
-    [-tau1, 0], [-tau_max, 0], [-tau2, 0] are kept for the verification
-    maxima.  Components must be non-negative and phi(0) must be positive.
+    gives one array function, thetas -> rows (phi, psi, eta) on
+    [-tau_max, 0], and the thetas of a window where a component can peak:
+    the window endpoints plus the interior extrema of its own formula.
+    The per-component windows [-tau1, 0], [-tau_max, 0], [-tau2, 0] are
+    kept for the verification maxima.  Components must be non-negative
+    and phi(0) must be positive.
     """
 
-    def __init__(self, p: ModelParams, funcs, kind: str, meta: dict,
-                 many=None):
+    def __init__(self, p: ModelParams, rows, peaks):
         self.p = p
-        self._funcs = funcs
-        self._many = many  # array evaluation (m,) -> (m, 3), if any
-        self.kind = kind
-        self.meta = meta
+        self._rows = rows  # thetas (m,) in [-tau_max, 0] -> values (m, 3)
+        self._peaks = peaks  # (i, a, b) -> candidate thetas in [a, b]
         self.windows = ((-p.tau1, 0.0), (-p.tau_max, 0.0), (-p.tau2, 0.0))
         self._validate()
 
     # -- preset constructors -------------------------------------------------
 
     @classmethod
+    def _constant(cls, p: ModelParams, values) -> "History":
+        # a constant component takes its sup anywhere, so one candidate will do
+        return cls(p, lambda ts: np.full((ts.size, 3), values),
+                   lambda i, a, b: [a])
+
+    @classmethod
     def constant(cls, p: ModelParams, values) -> "History":
         vx, vy, vz = (float(v) for v in values)
-        return cls(p, (lambda t: vx, lambda t: vy, lambda t: vz),
-                   "constant", {"values": (vx, vy, vz)})
+        return cls._constant(p, (vx, vy, vz))
 
     @classmethod
     def equilibrium_plus_constant(cls, p: ModelParams, offsets) -> "History":
         x0, y0 = plankton_only_point(p)
         ox, oy, oz = (float(v) for v in offsets)
-        return cls(p, (lambda t: x0 + ox, lambda t: y0 + oy, lambda t: oz),
-                   "equilibrium_plus_constant",
-                   {"equilibrium": (x0, y0, 0.0), "offsets": (ox, oy, oz)})
+        return cls._constant(p, (x0 + ox, y0 + oy, oz))
 
     @classmethod
     def equilibrium_plus_sine(cls, p: ModelParams, amplitudes,
                               frequency: float, phase: float = 0.0) -> "History":
         x0, y0 = plankton_only_point(p)
         ax, ay, az = (float(v) for v in amplitudes)
+        eq, amp = np.array([x0, y0, 0.0]), np.array([ax, ay, az])
         w, ph = float(frequency), float(phase)
-        eq = (x0, y0, 0.0)
 
-        def make(i, amp):
-            return lambda t: eq[i] + amp * math.sin(w * t + ph)
+        def peaks(i, a, b):
+            # the window endpoints and the interior extrema of sin(w t + ph)
+            if w == 0.0:
+                return [a, b]
+            k0 = math.floor((w * a + ph) / math.pi - 0.5)
+            k1 = math.ceil((w * b + ph) / math.pi + 0.5)
+            interior = (((k + 0.5) * math.pi - ph) / w
+                        for k in range(k0, k1 + 1))
+            return [a, b] + [t for t in interior if a <= t <= b]
 
-        return cls(p, (make(0, ax), make(1, ay), make(2, az)),
-                   "equilibrium_plus_sine",
-                   {"equilibrium": eq, "amplitudes": (ax, ay, az),
-                    "frequency": w, "phase": ph})
+        return cls(p, lambda ts: eq + amp * np.sin(w * ts[:, None] + ph),
+                   peaks)
 
     @classmethod
     def tabulated(cls, p: ModelParams, thetas, values) -> "History":
@@ -88,99 +96,56 @@ class History:
         splines = [CubicSpline(thetas, values[:, i], bc_type="natural")
                    for i in range(3)]
 
-        def make(s):
-            return lambda t: float(s(t))
+        def peaks(i, a, b):
+            # the window endpoints and the real roots of the spline's
+            # derivative inside the window
+            roots = splines[i].derivative().roots(extrapolate=False)
+            return np.concatenate(([a, b], roots[(roots > a) & (roots < b)]))
 
-        def many(ts):
-            return np.column_stack([s(ts) for s in splines])
-
-        return cls(p, tuple(make(s) for s in splines), "tabulated",
-                   {"splines": splines}, many)
+        return cls(p, lambda ts: np.column_stack([s(ts) for s in splines]),
+                   peaks)
 
     # -- evaluation ----------------------------------------------------------
 
-    def _clamp(self, theta: float) -> float:
-        lo = -self.p.tau_max
-        if theta < lo - 1e-9 * (1.0 + self.p.tau_max) or theta > 1e-12:
-            raise DomainError(f"history evaluated at theta = {theta!r} "
-                              f"outside [{lo}, 0]")
-        return min(theta, 0.0)
+    def eval_many(self, thetas) -> np.ndarray:
+        """Rows (phi, psi, eta) at each theta of an array, in one call.
 
-    def component(self, i: int, theta: float) -> float:
-        return self._funcs[i](self._clamp(theta))
+        Thetas down to 1e-9 * (1 + tau_max) below -tau_max are evaluated
+        as they are, and thetas up to 1e-12 above 0 at 0.
+        """
+        ts = np.asarray(thetas, dtype=float)
+        lo = -self.p.tau_max
+        outside = (ts < lo - 1e-9 * (1.0 + self.p.tau_max)) | (ts > 1e-12)
+        if outside.any():
+            raise DomainError(f"history evaluated at theta = "
+                              f"{float(ts[outside][0])!r} outside [{lo}, 0]")
+        return self._rows(np.minimum(ts, 0.0))
 
     def __call__(self, theta: float):
-        return (self.component(0, theta), self.component(1, theta),
-                self.component(2, theta))
-
-    def eval_many(self, thetas) -> np.ndarray:
-        """Rows (phi, psi, eta) at each theta of an array.
-
-        A tabulated history makes one spline call per component; the
-        presets evaluate their scalar functions point by point.
-        """
-        ts = [self._clamp(t) for t in np.asarray(thetas, dtype=float).tolist()]
-        if self._many is not None:
-            return self._many(np.array(ts))
-        return np.array([[f(t) for f in self._funcs] for t in ts]).reshape(-1, 3)
-
-    def max_abs_deviation(self, i: int, window, center: float) -> float:
-        """Max of |component_i(theta) - center| on a dense grid + endpoints."""
-        a, b = window
-        grid = np.linspace(a, b, max(_GRID, 1024))
-        return max(abs(self._funcs[i](t) - center) for t in grid)
-
-    def analytic_max_abs_deviation(self, i: int, window,
-                                   center: float) -> float | None:
-        """Closed-form window maximum for the preset families, else None."""
-        a, b = window
-        if self.kind == "constant":
-            return abs(self.meta["values"][i] - center)
-        if self.kind == "equilibrium_plus_constant":
-            eq = self.meta["equilibrium"][i]
-            return abs(eq + self.meta["offsets"][i] - center)
-        if self.kind == "equilibrium_plus_sine":
-            eq = self.meta["equilibrium"][i]
-            amp = self.meta["amplitudes"][i]
-            w, ph = self.meta["frequency"], self.meta["phase"]
-            cands = [a, b]
-            if w != 0.0:
-                # interior extrema of sin(w t + ph)
-                k0 = math.floor((w * a + ph) / math.pi - 0.5)
-                k1 = math.ceil((w * b + ph) / math.pi + 0.5)
-                for k in range(k0, k1 + 1):
-                    t = ((k + 0.5) * math.pi - ph) / w
-                    if a <= t <= b:
-                        cands.append(t)
-            return max(abs(eq + amp * math.sin(w * t + ph) - center)
-                       for t in cands)
-        return None
+        return tuple(self.eval_many([theta])[0].tolist())
 
     def sup_abs_deviation(self, i: int, window, center: float) -> float:
-        """Sup of |component_i(theta) - center| over the window, from above.
+        """Sup of |component_i(theta) - center| over the window, exactly.
 
-        The presets use the closed form; a tabulated history takes its
-        spline at the window endpoints and at the real roots of the
-        spline's derivative inside the window.
+        The component is evaluated at every theta where it can peak: the
+        window endpoints and its formula's interior extrema (for a
+        tabulated history, the real roots of the spline's derivative).
         """
-        exact = self.analytic_max_abs_deviation(i, window, center)
-        if exact is not None:
-            return exact
-        a, b = window
-        spline = self.meta["splines"][i]
-        roots = spline.derivative().roots(extrapolate=False)
-        cands = np.concatenate(([a, b], roots[(roots > a) & (roots < b)]))
-        return float(np.abs(spline(cands) - center).max())
+        values = self.eval_many(self._peaks(i, *window))[:, i]
+        return float(np.abs(values - center).max())
 
     def _validate(self):
-        for i, (lo, _) in enumerate(self.windows):
-            for t in np.linspace(lo, 0.0, _GRID):
-                v = self._funcs[i](float(t))
-                if not math.isfinite(v) or v < 0.0:
-                    raise DomainError(
-                        f"history component {i} is {v!r} at theta = {t:g}; "
-                        f"components must be finite and non-negative")
-        if self._funcs[0](0.0) <= 0.0:
+        grids = [np.linspace(lo, 0.0, _GRID) for lo, _ in self.windows]
+        values = self.eval_many(np.concatenate(grids)).reshape(3, _GRID, 3)
+        for i, grid in enumerate(grids):
+            v = values[i, :, i]
+            bad = ~np.isfinite(v) | (v < 0.0)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise DomainError(
+                    f"history component {i} is {float(v[k])!r} at theta = "
+                    f"{grid[k]:g}; components must be finite and non-negative")
+        if values[0, -1, 0] <= 0.0:  # the last theta of a grid is 0
             raise DomainError("history requires phi(0) > 0")
 
 
@@ -360,8 +325,7 @@ def check_positivity_boundedness(traj: Trajectory,
                                  p: ModelParams) -> PositivityReport:
     """Empirical check of non-negativity and the logistic bound on x."""
     observed_min = float(traj.states.min())
-    sup_phi = max(traj.history.component(0, float(t))
-                  for t in np.linspace(-p.tau1, 0.0, _GRID))
+    sup_phi = traj.history.sup_abs_deviation(0, (-p.tau1, 0.0), 0.0)
     x_bound = max(sup_phi, p.K)
     messages = []
     ok = True

@@ -53,38 +53,29 @@ def eval_Q(lam: complex, lin: LinearizedSystem, p: ModelParams) -> complex:
         + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
 
 
+def _factors(lam, e1t, e2t, lin: LinearizedSystem, p: ModelParams):
+    """q1, q2 with Q = q1*q2, given e1t = exp(-lam*tau1), e2t = exp(-lam*tau2).
+
+    Operators only, so it serves complex scalars and numpy arrays alike.
+    """
+    a = p.r * lin.x0 / p.K
+    q1 = (lam + a) * (lam + p.d1 - p.d1 * e1t) + p.c1 * p.d1 * lin.y0 * e1t
+    q2 = lam + p.d2 - p.e2 * p.c2 * lin.y0 * e2t
+    return q1, q2
+
+
 def eval_factors(lam: complex, lin: LinearizedSystem,
                  p: ModelParams) -> tuple[complex, complex]:
     """The two factors whose product is Q."""
-    a = p.r * lin.x0 / p.K
-    e1t = cmath.exp(-lam * p.tau1)
-    q1 = ((lam + a) * (lam + p.d1 - p.d1 * e1t)
-          + p.c1 * p.d1 * lin.y0 * e1t)
-    q2 = lam + p.d2 - p.e2 * p.c2 * lin.y0 * cmath.exp(-lam * p.tau2)
-    return q1, q2
+    return _factors(lam, cmath.exp(-lam * p.tau1), cmath.exp(-lam * p.tau2),
+                    lin, p)
 
 
 def _q_vec(lam: np.ndarray, lin: LinearizedSystem, p: ModelParams) -> np.ndarray:
     # vectorized Q via the factorization (identity with eval_Q is tested)
-    a = p.r * lin.x0 / p.K
-    e1t = np.exp(-lam * p.tau1)
-    q1 = (lam + a) * (lam + p.d1 - p.d1 * e1t) + p.c1 * p.d1 * lin.y0 * e1t
-    q2 = lam + p.d2 - p.e2 * p.c2 * lin.y0 * np.exp(-lam * p.tau2)
+    q1, q2 = _factors(lam, np.exp(-lam * p.tau1), np.exp(-lam * p.tau2),
+                      lin, p)
     return q1 * q2
-
-
-def _dq(lam: complex, lin: LinearizedSystem, p: ModelParams) -> complex:
-    # product-rule derivative over the factorization
-    a = p.r * lin.x0 / p.K
-    e1t = cmath.exp(-lam * p.tau1)
-    e2t = cmath.exp(-lam * p.tau2)
-    q1 = (lam + a) * (lam + p.d1 - p.d1 * e1t) + p.c1 * p.d1 * lin.y0 * e1t
-    q2 = lam + p.d2 - p.e2 * p.c2 * lin.y0 * e2t
-    dq1 = ((lam + p.d1 - p.d1 * e1t)
-           + (lam + a) * (1.0 + p.d1 * p.tau1 * e1t)
-           - p.c1 * p.d1 * lin.y0 * p.tau1 * e1t)
-    dq2 = 1.0 + p.e2 * p.c2 * lin.y0 * p.tau2 * e2t
-    return dq1 * q2 + q1 * dq2
 
 
 def lemma_classify(p: ModelParams) -> StabilityVerdict:
@@ -209,10 +200,17 @@ def _windings(rects: list[Rect], lin, p) -> list[int]:
 
 def _newton(z0: complex, lin, p, tol: float = 1e-12,
             max_iter: int = 50) -> complex | None:
+    a = p.r * lin.x0 / p.K
     z = z0
     for _ in range(max_iter):
-        q1, q2 = eval_factors(z, lin, p)
-        dq = _dq(z, lin, p)
+        e1t, e2t = cmath.exp(-z * p.tau1), cmath.exp(-z * p.tau2)
+        q1, q2 = _factors(z, e1t, e2t, lin, p)
+        # product rule over the factorization
+        dq1 = ((z + p.d1 - p.d1 * e1t)
+               + (z + a) * (1.0 + p.d1 * p.tau1 * e1t)
+               - p.c1 * p.d1 * lin.y0 * p.tau1 * e1t)
+        dq2 = 1.0 + p.e2 * p.c2 * lin.y0 * p.tau2 * e2t
+        dq = dq1 * q2 + q1 * dq2
         if dq == 0:
             return None
         step = q1 * q2 / dq

@@ -17,14 +17,20 @@ MAX_DIM = 9
 _PD_TOL = 1e-13  # pivot tolerance, relative to the Frobenius norm
 
 
+def _square(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n) or n > MAX_DIM:
+        raise DomainError(f"expected square matrix of dimension <= {MAX_DIM}")
+    return a
+
+
 class SymMatrix:
     """Symmetric matrix with symmetry exact by construction."""
 
     def __init__(self, upper: np.ndarray):
-        upper = np.asarray(upper, dtype=float)
+        upper = _square(upper)
         n = upper.shape[0]
-        if upper.shape != (n, n) or n > MAX_DIM:
-            raise DomainError(f"expected square matrix of dimension <= {MAX_DIM}")
         # mirror the upper triangle so both halves are bitwise identical
         a = np.triu(upper)
         self._a = a + np.triu(a, 1).T
@@ -56,14 +62,17 @@ def sym_eigen(M) -> tuple[np.ndarray, np.ndarray]:
 
 
 def is_positive_definite(M) -> tuple[bool, float]:
-    """(PD flag, smallest eigenvalue).
+    """(PD flag, smallest eigenvalue) of the quadratic form x^T M x.
 
-    The flag comes from an unpivoted Cholesky factorization with all
-    pivots (the squared diagonal of the factor) required to exceed
-    1e-13 * ||M||_F; a failed factorization or a non-finite entry gives
-    False.  The eigenvalue is for reporting (NaN for a non-finite M).
+    The form's matrix is the symmetric part (M + M^T)/2, which is M
+    itself, bit for bit, when M is symmetric.  The flag comes from an
+    unpivoted Cholesky factorization of it with all pivots (the squared
+    diagonal of the factor) required to exceed 1e-13 * ||M||_F; a failed
+    factorization or a non-finite entry gives False.  The eigenvalue is
+    for reporting (NaN for a non-finite M).
     """
-    a = _as_sym_array(M)
+    a = _square(M.array() if isinstance(M, SymMatrix) else M)
+    a = 0.5 * (a + a.T)
     if not np.isfinite(a).all():
         return False, math.nan
     tol = _PD_TOL * max(np.linalg.norm(a), 1e-300)

@@ -34,17 +34,11 @@ class ExtendedHistory:
         self.shift = (x0, y0, 0.0)
         self.windows = ((-p.tau1, 0.0), (-p.tau_max, 0.0), (-p.tau2, 0.0))
 
-    def component(self, i: int, theta: float) -> float:
-        lo, hi = self.windows[i]
-        if theta < lo or theta > hi:
-            return 0.0
-        return self.hist.component(i, theta) - self.shift[i]
-
-    def __call__(self, theta: float) -> np.ndarray:
-        return np.array([self.component(i, theta) for i in range(3)])
-
     def eval_many(self, thetas) -> np.ndarray:
-        """Rows of :meth:`__call__` at each theta, from one history lookup."""
+        """Rows (phi - x0, psi - y0, eta) at each theta, from one history lookup.
+
+        Each component is zero outside its own window.
+        """
         thetas = np.asarray(thetas, dtype=float)
         out = np.zeros((thetas.size, 3))
         inside = (thetas >= -self.p.tau_max) & (thetas <= 0.0)
@@ -118,24 +112,49 @@ def _quadratic_forms(values: np.ndarray, base: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk,ik->i", values, base, values)
 
 
-def eval_V0(ext: ExtendedHistory, cert: LKCertificate,
-            subintervals: int = V_QUAD_SUBINTERVALS) -> float:
-    """Functional value at t = 0 on the extended history."""
+def _functional(lookup, cert: LKCertificate, ts: np.ndarray,
+                subintervals: int) -> np.ndarray:
+    """Lyapunov-Krasovskii functional at each time of ``ts``.
+
+    ``lookup`` maps an array of times s to the rows u(s) of the deviation
+    from the plankton-only point.  V(t) is u(t)^T H u(t) plus, per delay,
+    the Simpson sum of exp(-m_i (t - s)) u(s)^T base_i u(s) over
+    [t - tau_i, t].  The times are taken ``V_CHUNK`` at a time, and all
+    of a chunk's points go through one ``lookup`` call.  The quadratic
+    form at t and each window's Simpson sum are then taken per time, with
+    the same operations as a single time, so V does not depend on the
+    batching.
+    """
     if subintervals < 64 or subintervals % 2:
         raise DomainError("subintervals must be an even number >= 64")
     p = cert.params
-    v0 = ext(0.0)
-    # a huge initial offset overflows to V0 = inf: inadmissible, not an error
+    windows = [(tau, m, kernel_base(cert, which),
+                _simpson_weights(subintervals, tau / subintervals))
+               for which, tau, m in ((1, p.tau1, cert.m1),
+                                     (2, p.tau2, cert.m2))]
+    out = np.empty(ts.size)
+    # a huge initial offset overflows to V = inf: inadmissible, not an error
     with np.errstate(over="ignore"):
-        total = float(v0 @ cert.H @ v0)
-    base1, base2 = kernel_base(cert, 1), kernel_base(cert, 2)
-    for tau, m, base in ((p.tau1, cert.m1, base1), (p.tau2, cert.m2, base2)):
-        thetas = np.linspace(-tau, 0.0, subintervals + 1)
-        vals = ext.eval_many(thetas)
-        integrand = np.exp(m * thetas) * _quadratic_forms(vals, base)
-        total += float(_simpson_weights(subintervals, tau / subintervals)
-                       @ integrand)
-    return total
+        for lo in range(0, ts.size, V_CHUNK):
+            t = ts[lo:lo + V_CHUNK]
+            nodes = [np.linspace(t - tau, t, subintervals + 1, axis=1)
+                     for tau, _, _, _ in windows]
+            vals = lookup(np.concatenate([t] + [n.ravel() for n in nodes]))
+            total = np.array([float(v @ cert.H @ v) for v in vals[:t.size]])
+            per_window = vals[t.size:].reshape(len(windows), -1, 3)
+            for (_, m, base, w), n, v in zip(windows, nodes, per_window):
+                integrand = (np.exp(-m * (t[:, None] - n))
+                             * _quadratic_forms(v, base).reshape(n.shape))
+                total += [float(w @ row) for row in integrand]
+            out[lo:lo + t.size] = total
+    return out
+
+
+def eval_V0(ext: ExtendedHistory, cert: LKCertificate,
+            subintervals: int = V_QUAD_SUBINTERVALS) -> float:
+    """Functional value at t = 0 on the extended history."""
+    return float(_functional(ext.eval_many, cert, np.zeros(1),
+                             subintervals)[0])
 
 
 def condition_rhs(cert: LKCertificate) -> dict[str, float]:
@@ -211,11 +230,8 @@ def eval_V_many(traj: Trajectory, cert: LKCertificate, p: ModelParams,
                 ts, subintervals: int = V_QUAD_SUBINTERVALS) -> np.ndarray:
     """Functional value along the trajectory at each time of ``ts`` in [0, t_end].
 
-    The times are taken ``V_CHUNK`` at a time.  A chunk's quadrature nodes
-    are built at once and looked up in one dense-output call for s >= 0
-    and one extended-history call for s < 0.  The quadratic form at t and
-    each window's Simpson sum are then taken per time, with the same
-    operations as a single time, so V does not depend on the batching.
+    Points s < 0 are read from the extended history, the others from the
+    dense output, one call each per chunk of times (see ``_functional``).
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     outside = (ts < 0.0) | (ts > traj.t_end * (1.0 + 1e-12))
@@ -224,36 +240,16 @@ def eval_V_many(traj: Trajectory, cert: LKCertificate, p: ModelParams,
                           f"outside [0, {traj.t_end}]")
     ext = extend_history(traj.history, p)
     shift = np.array([cert.x0, cert.y0, 0.0])
-    base1, base2 = kernel_base(cert, 1), kernel_base(cert, 2)
-    windows = [(tau, m, base, _simpson_weights(subintervals, tau / subintervals))
-               for tau, m, base in ((p.tau1, cert.m1, base1),
-                                    (p.tau2, cert.m2, base2))]
-    out = np.empty(ts.size)
-    for lo in range(0, ts.size, V_CHUNK):
-        t = ts[lo:lo + V_CHUNK]
-        nodes = [np.linspace(t - tau, t, subintervals + 1, axis=1)
-                 for tau, _, _, _ in windows]
-        s = np.concatenate([t] + [n.ravel() for n in nodes])
+
+    def lookup(s):
         vals = np.empty((s.size, 3))
         neg = s < 0.0
         if neg.any():
             vals[neg] = ext.eval_many(s[neg])
         vals[~neg] = traj.sample_many(s[~neg]) - shift
-        vt = vals[:t.size]
-        total = np.array([float(v @ cert.H @ v) for v in vt])
-        per_window = vals[t.size:].reshape(len(windows), -1, 3)
-        for (_, m, base, w), n, v in zip(windows, nodes, per_window):
-            integrand = (np.exp(-m * (t[:, None] - n))
-                         * _quadratic_forms(v, base).reshape(n.shape))
-            total += [float(w @ row) for row in integrand]
-        out[lo:lo + t.size] = total
-    return out
+        return vals
 
-
-def eval_V_along(traj: Trajectory, cert: LKCertificate, p: ModelParams,
-                 t: float, subintervals: int = V_QUAD_SUBINTERVALS) -> float:
-    """Functional value along the trajectory at time t in [0, t_end]."""
-    return float(eval_V_many(traj, cert, p, [t], subintervals)[0])
+    return _functional(lookup, cert, ts, subintervals)
 
 
 def solver_error_estimate(traj: Trajectory) -> float:

@@ -67,6 +67,16 @@ def random_unstable_params(rng, tau_range=(0.01, 0.5)):
                                  b1=b1, b2=b2, tau1=tau1, tau2=tau2)
 
 
+def grid_max_abs_deviation(hist, i, window, center, points=1024):
+    """Max of |component_i(theta) - center| on a uniform grid of the window.
+
+    A grid maximum approaches the window sup from below; the reference
+    that ``History.sup_abs_deviation`` must never undercut.
+    """
+    grid = np.linspace(*window, points)
+    return float(np.abs(hist.eval_many(grid)[:, i] - center).max())
+
+
 def admissible_perturbation(p, cert, delta0=1e-2, max_halvings=40,
                             kind="constant", frequency=3.0):
     """Shrink an equilibrium perturbation until all theorem conditions pass.

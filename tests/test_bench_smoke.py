@@ -1,0 +1,29 @@
+"""Smoke test of the benchmark harness.
+
+Runs ``perfbench/run.py`` from the repository root as the benchmark does,
+for the shortest time it allows, and requires a clean exit and a result
+line whose outputs all matched ``perfbench/reference.json``.  Together the
+two runs take about ten seconds.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload, trace", [("run_readme", 0),
+                                             ("spectrum_certify", 1)])
+def test_benchmark_runs_and_is_correct(workload, trace):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seconds", "0", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stderr[-4000:]
+    assert result["failed"] == 0

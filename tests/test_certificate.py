@@ -232,6 +232,17 @@ class TestGenericCheck:
             self._samples(cert, 1), self._samples(cert, 2))
         assert not result.ok and "H" in result.failure
 
+    def test_non_symmetric_weight_rejected(self, case2_cert):
+        # the upper triangle alone is the identity, but x^T H x is indefinite
+        cert = case2_cert
+        lin = cert.lin
+        h = np.array([[1.0, 0.0, 0.0], [10.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        result = check_generic_certificate(
+            lin.A, lin.B1, lin.B2, h,
+            self._samples(cert, 1), self._samples(cert, 2))
+        assert not result.ok
+        assert result.failure == "H not positive definite"
+
     def test_constant_kernel_rejected(self, case2_cert):
         cert = case2_cert
         lin = cert.lin

@@ -225,6 +225,44 @@ class TestRunScenario:
         assert capsys.readouterr().out == f"input error: {message}\n"
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("section, key", [
+        ("solver", "step_divisr"), ("overrides", "mu_fractoin"),
+        ("outputs", "fils"), ("solver", 3), (None, 3), (None, "horizn")])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unknown_section_key_is_input_error(self, tmp_path, capsys,
+                                                command, section, key):
+        # section None puts the key at the top level, followed by a second
+        # unknown key of another type; the first one in the file is named
+        tree = {"params": CASE2, "horizon": 1.0,
+                section: {"stride": 1} if section == "solver" else {}}
+        if section is None:
+            del tree[None]
+            tree[key] = 5
+            tree["zzz" if key == 3 else 4] = 5
+        else:
+            tree[section][key] = 5
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        out = tmp_path / "out"
+        argv = [command, cfg, "--out", str(out)]
+        if command == "sweep":
+            argv += ["--key", "params.d1", "--values", "1.5"]
+        assert main(argv) == EXIT_INPUT
+        where = "the top level" if section is None else repr(section)
+        assert capsys.readouterr().out == (
+            f"input error: unknown key {key!r} in {where}\n")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_sweep_loads_the_scenario_once_per_row(self, small_config,
+                                                   tmp_path, monkeypatch):
+        calls = []
+        load = scenario_mod.load_scenario
+        monkeypatch.setattr(scenario_mod, "load_scenario",
+                            lambda path: calls.append(path) or load(path))
+        argv = ["sweep", small_config, "--key", "horizon",
+                "--values", "0.5,0.6,0.7", "--out", str(tmp_path / "sw")]
+        assert main(argv) == EXIT_OK
+        assert calls == [small_config] * 4
+
     @pytest.mark.parametrize("key", ["params.r", "horizon", "history.offsets",
                                      "solver.step_divisor", "overrides.alpha"])
     def test_integer_beyond_float_range_is_input_error(self, tmp_path, capsys,

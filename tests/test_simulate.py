@@ -9,6 +9,8 @@ from planktonfish import (DomainError, History, IntegrationError,
                           check_positivity_boundedness, default_step,
                           derive_params, integrate, plankton_only_point)
 
+from conftest import grid_max_abs_deviation
+
 
 @pytest.fixture
 def logistic_params():
@@ -152,16 +154,25 @@ class TestHistory:
         with pytest.raises(DomainError, match="non-negative"):
             History.constant(case2_params, (0.5, -0.1, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_component(self, case2_params, bad):
+        with pytest.raises(DomainError, match=f"component 1 is {bad!r} at "
+                                              f"theta = -0.1; .* finite"):
+            History.constant(case2_params, (0.5, bad, 0.0))
+
     def test_rejects_zero_initial_phytoplankton(self, case2_params):
         with pytest.raises(DomainError, match="phi"):
             History.constant(case2_params, (0.0, 0.1, 0.0))
 
     def test_domain_check(self, case2_params):
         hist = History.constant(case2_params, (0.5, 0.2, 0.1))
-        with pytest.raises(DomainError):
-            hist.component(0, -10.0)
-        with pytest.raises(DomainError):
-            hist.component(0, 0.5)
+        with pytest.raises(DomainError, match="-10.0 outside"):
+            hist.eval_many([-0.05, -10.0, 0.0])
+        with pytest.raises(DomainError, match="0.5 outside"):
+            hist.eval_many([0.5])
+        # the rounding slack at both ends is accepted, and above 0 reads 0
+        lo = -case2_params.tau_max * (1.0 + 1e-10)
+        assert hist.eval_many([lo, 1e-13]).tolist() == [[0.5, 0.2, 0.1]] * 2
 
     def test_tabulated_roundtrip(self, case2_params):
         thetas = np.linspace(-case2_params.tau_max, 0.0, 30)
@@ -184,16 +195,33 @@ class TestHistory:
                                              37.0, phase=0.4)
         window = (-case2_params.tau1, 0.0)
         _, y0 = plankton_only_point(case2_params)
-        exact = hist.analytic_max_abs_deviation(1, window, y0)
-        grid = hist.max_abs_deviation(1, window, y0)
+        exact = hist.sup_abs_deviation(1, window, y0)
+        grid = grid_max_abs_deviation(hist, 1, window, y0)
         assert exact == pytest.approx(0.07, rel=1e-9)
         assert grid <= exact + 1e-12
         assert grid >= exact - 1e-4
 
-    def test_tabulated_has_no_analytic_maximum(self, case2_params):
-        thetas = np.linspace(-case2_params.tau_max, 0.0, 10)
-        hist = History.tabulated(case2_params, thetas, np.full((10, 3), 0.5))
-        assert hist.analytic_max_abs_deviation(0, (-0.1, 0.0), 0.0) is None
+    @pytest.mark.parametrize("kind", ["constant", "equilibrium_plus_constant",
+                                      "sine"])
+    def test_preset_sup_is_exact(self, case2_params, kind):
+        # the presets' sups are closed forms: a constant's distance, and
+        # for the sine the equilibrium plus or minus the amplitude at an
+        # interior extremum (50 t + 0.2 passes -3 pi/2 and -pi/2)
+        _, y0 = plankton_only_point(case2_params)
+        window = (-case2_params.tau1, 0.0)
+        if kind == "constant":
+            hist, expected = History.constant(case2_params, (0.5, 0.2, 0.1)), 0.3
+        elif kind == "equilibrium_plus_constant":
+            hist = History.equilibrium_plus_constant(case2_params,
+                                                     (0.01, 0.03, 0.0))
+            expected = abs(y0 + 0.03 - 0.5)
+        else:
+            hist = History.equilibrium_plus_sine(case2_params, (0.0, 0.03, 0.0),
+                                                 50.0, phase=0.2)
+            expected = max(abs(y0 + 0.03 - 0.5), abs(y0 - 0.03 - 0.5))
+        sup = hist.sup_abs_deviation(1, window, 0.5)
+        assert sup == pytest.approx(expected, rel=1e-12)
+        assert sup >= grid_max_abs_deviation(hist, 1, window, 0.5)
 
     def test_tabulated_sup_covers_dense_grid(self, case2_params):
         knots = np.linspace(-case2_params.tau_max, 0.0, 9)
@@ -202,10 +230,36 @@ class TestHistory:
              0.1 + 0.0 * knots]))
         for i, window in ((0, (-0.1, 0.0)), (1, (-0.07, -0.02))):
             sup = hist.sup_abs_deviation(i, window, 0.4)
-            dense = max(abs(hist.component(i, t) - 0.4)
-                        for t in np.linspace(*window, 100001).tolist())
+            dense = grid_max_abs_deviation(hist, i, window, 0.4, 100001)
             assert dense <= sup <= dense + 1e-9
-            assert hist.max_abs_deviation(i, window, 0.4) <= sup
+            assert grid_max_abs_deviation(hist, i, window, 0.4) <= sup
+
+    @pytest.mark.parametrize("kind", ["sine", "tabulated"])
+    def test_validation_message_names_first_bad_point(self, case2_params,
+                                                      kind):
+        # a fish component that dips below zero inside its window; the
+        # message names the first negative value on the 257-point grid
+        from scipy.interpolate import CubicSpline
+        p = case2_params
+        grid = np.linspace(-p.tau2, 0.0, 257)
+        knots = np.linspace(-p.tau_max, 0.0, 5)
+        fish = 0.01 - 30.0 * (knots + 0.05) ** 2
+        if kind == "sine":
+            expected = 0.0 + 1e-3 * np.sin(40.0 * grid + 0.0)
+            make = lambda: History.equilibrium_plus_sine(  # noqa: E731
+                p, (0.0, 0.0, 1e-3), 40.0)
+        else:
+            expected = CubicSpline(knots, fish, bc_type="natural")(grid)
+            make = lambda: History.tabulated(  # noqa: E731
+                p, knots, np.column_stack([0.5 + 0 * knots, 0.3 + 0 * knots,
+                                           fish]))
+        k = int(np.argmax(expected < 0.0))
+        assert expected[k] < 0.0
+        with pytest.raises(DomainError) as info:
+            make()
+        assert str(info.value) == (
+            f"history component 2 is {float(expected[k])!r} at theta = "
+            f"{grid[k]:g}; components must be finite and non-negative")
 
 
 class TestIntegrate:
@@ -403,3 +457,19 @@ class TestPositivity:
         assert report.observed_min >= -1e-9
         assert traj.states[:, 0].max() <= report.x_bound + 1e-6
         assert report.x_bound == pytest.approx(1.8)
+
+    def test_logistic_bound_takes_the_exact_sup(self, case2_params):
+        # a phi peak above K midway between two points of a 257-point grid
+        # on [-tau1, 0]: a grid maximum misses it, the exact sup does not
+        p = case2_params
+        x0, _ = plankton_only_point(p)
+        grid = np.linspace(-p.tau1, 0.0, 257)
+        peak = 0.5 * (grid[100] + grid[101])
+        w, amp = 300.0, 0.5
+        hist = History.equilibrium_plus_sine(p, (amp, 0.0, 0.0), w,
+                                             phase=math.pi / 2 - w * peak)
+        assert x0 + amp > p.K
+        report = check_positivity_boundedness(integrate(p, hist, 1.0), p)
+        assert report.x_bound == hist.sup_abs_deviation(0, (-p.tau1, 0.0), 0.0)
+        assert report.x_bound == pytest.approx(x0 + amp, rel=1e-12)
+        assert report.x_bound > hist.eval_many(grid)[:, 0].max()

@@ -148,10 +148,21 @@ class TestPositiveDefinite:
             for name, m in _certificate_matrices(cert):
                 assert is_positive_definite(m)[0] == _reference_pd(m), name
 
+    def test_non_symmetric_uses_symmetric_part(self):
+        # x^T M x only sees (M + M^T)/2: here it has eigenvalue -4, although
+        # each triangle mirrored on its own is positive definite
+        m = np.array([[1.0, 0.0, 0.0], [10.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        for a in (m, m.T):
+            pd, min_eig = is_positive_definite(a)
+            assert not pd and min_eig == pytest.approx(-4.0)
+        # a skew part leaves the form alone
+        pd, min_eig = is_positive_definite([[2.0, 1.0], [-1.0, 2.0]])
+        assert pd and min_eig == pytest.approx(2.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
-        # the lower triangle is ignored (mirrored from the upper one)
-        for i, j in ((0, 0), (0, 2), (1, 2)):
+        # in either triangle, on or off the diagonal
+        for i, j in ((0, 0), (0, 2), (1, 2), (2, 0)):
             a = np.eye(3)
             a[i, j] = bad
             pd, min_eig = is_positive_definite(a)

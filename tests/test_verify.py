@@ -7,14 +7,14 @@ import pytest
 from planktonfish import (DomainError, History, build_certificate,
                           check_differential_inequality, check_envelope,
                           check_initial_conditions, derive_params, eval_V0,
-                          eval_V_along, eval_V_many, extend_history,
+                          eval_V_many, extend_history,
                           gronwall_bound, integrate, plankton_only_point,
                           predicted_envelope)
 from planktonfish.verify import (V_CHUNK, V_QUAD_SUBINTERVALS,
                                  _quadratic_forms, _simpson_weights,
                                  condition_rhs, write_verification_csv)
 
-from conftest import admissible_perturbation
+from conftest import admissible_perturbation, grid_max_abs_deviation
 
 
 @pytest.fixture
@@ -28,12 +28,21 @@ def admissible(case2_params, case2_cert):
     return case2_params, case2_cert, hist, theorem, delta
 
 
+def _reference_extended(hist, p, theta):
+    """One theta of the extended history, component by component."""
+    x0, y0 = plankton_only_point(p)
+    windows = ((-p.tau1, 0.0), (-p.tau_max, 0.0), (-p.tau2, 0.0))
+    return [hist(theta)[i] - (x0, y0, 0.0)[i] if lo <= theta <= hi else 0.0
+            for i, (lo, hi) in enumerate(windows)]
+
+
 class TestExtendedHistory:
     def test_shifts_by_equilibrium(self, case2_params):
         hist = History.equilibrium_plus_constant(case2_params,
                                                  (0.02, 0.01, 0.03))
         ext = extend_history(hist, case2_params)
-        assert ext(0.0) == pytest.approx([0.02, 0.01, 0.03], abs=1e-14)
+        assert ext.eval_many([0.0])[0] == pytest.approx([0.02, 0.01, 0.03],
+                                                        abs=1e-14)
 
     def test_zero_outside_windows(self, case2_params):
         p = derive_params(r=1, K=1, c1=1, c2=1, d1=1.5, d2=1, b1=3, b2=1,
@@ -41,9 +50,10 @@ class TestExtendedHistory:
         hist = History.equilibrium_plus_constant(p, (0.02, 0.01, 0.03))
         ext = extend_history(hist, p)
         # x window is [-tau1, 0]; theta below it reads as zero
-        assert ext.component(0, -0.1) == 0.0
-        assert ext.component(2, -0.1) == pytest.approx(0.03, abs=1e-14)
-        assert ext.component(1, -0.2) == pytest.approx(0.01, abs=1e-14)
+        at_01, at_02 = ext.eval_many([-0.1, -0.2])
+        assert at_01[0] == 0.0
+        assert at_01[2] == pytest.approx(0.03, abs=1e-14)
+        assert at_02[1] == pytest.approx(0.01, abs=1e-14)
 
     def test_equilibrium_history_extends_to_zero(self, case2_params):
         hist = History.equilibrium_plus_constant(case2_params, (0.0, 0.0, 0.0))
@@ -70,8 +80,8 @@ class TestExtendedHistory:
             np.linspace(-p.tau2, 0.0, 41), np.linspace(-p.tau1, 0.0, 13),
             edges, np.nextafter(edges, -1.0), np.nextafter(edges, 1.0),
             [-0.3, -1.0]))
-        assert np.array_equal(ext.eval_many(thetas),
-                              np.array([ext(t) for t in thetas.tolist()]))
+        assert np.array_equal(ext.eval_many(thetas), np.array(
+            [_reference_extended(hist, p, t) for t in thetas.tolist()]))
 
 
 class TestEvalV0:
@@ -152,12 +162,12 @@ class TestInitialConditions:
         grid = np.linspace(*window, 1024)
         peak = 0.5 * (grid[500] + grid[501])
         w, amp = 300.0, 0.07
+        phase = math.pi / 2 - w * peak
         hist = History.equilibrium_plus_sine(case2_params, (0.0, amp, 0.0), w,
-                                             phase=math.pi / 2 - w * peak)
+                                             phase=phase)
         _, y0 = plankton_only_point(case2_params)
-        true_sup = abs(y0 + amp * math.sin(w * peak + hist.meta["phase"])
-                       - case2_cert.y0)
-        assert hist.max_abs_deviation(1, window, case2_cert.y0) < true_sup
+        true_sup = abs(y0 + amp * math.sin(w * peak + phase) - case2_cert.y0)
+        assert grid_max_abs_deviation(hist, 1, window, case2_cert.y0) < true_sup
         report = check_initial_conditions(
             hist, extend_history(hist, case2_params), case2_cert, case2_params)
         assert report.conditions["45"].lhs >= true_sup
@@ -220,31 +230,50 @@ class TestFunctionalAlongTrajectory:
     def test_zero_along_equilibrium(self, case2_params, case2_cert):
         hist = History.equilibrium_plus_constant(case2_params, (0.0, 0.0, 0.0))
         traj = integrate(case2_params, hist, 3.0)
-        for t in (0.0, 1.0, 3.0):
-            assert abs(eval_V_along(traj, case2_cert, case2_params, t)) <= 1e-22
+        values = eval_V_many(traj, case2_cert, case2_params, [0.0, 1.0, 3.0])
+        assert (np.abs(values) <= 1e-22).all()
 
     def test_matches_initial_value(self, admissible):
         p, cert, hist, report, _ = admissible
         traj = integrate(p, hist, 2.0)
-        v_start = eval_V_along(traj, cert, p, 0.0)
-        assert v_start == pytest.approx(report.V0, rel=1e-9)
+        assert eval_V_many(traj, cert, p, [0.0])[0] == report.V0
 
     def test_domain_check(self, admissible):
         p, cert, hist, _, _ = admissible
         traj = integrate(p, hist, 1.0)
         with pytest.raises(DomainError):
-            eval_V_along(traj, cert, p, 2.0)
+            eval_V_many(traj, cert, p, 2.0)
 
     def test_gronwall_bound_holds(self, admissible):
         p, cert, hist, report, _ = admissible
         traj = integrate(p, hist, 20.0)
-        for t in np.linspace(0.0, 20.0, 21):
-            v = eval_V_along(traj, cert, p, float(t))
-            assert v <= gronwall_bound(cert, report.V0, float(t)) + 1e-7
+        ts = np.linspace(0.0, 20.0, 21)
+        for t, v in zip(ts.tolist(), eval_V_many(traj, cert, p, ts).tolist()):
+            assert v <= gronwall_bound(cert, report.V0, t) + 1e-7
+
+    @pytest.mark.parametrize("kind", ["sine", "tabulated"])
+    def test_initial_value_is_eval_V0(self, kind):
+        # V at t = 0 along the trajectory and V0 on the extended history
+        # run the same quadrature on the same values
+        p = derive_params(r=1, K=1, c1=1, c2=1, d1=1.5, d2=1, b1=3, b2=1,
+                          tau1=0.05, tau2=0.2)
+        cert = build_certificate(p)
+        x0, y0 = plankton_only_point(p)
+        if kind == "sine":
+            hist = History.equilibrium_plus_sine(p, (2e-3, 1e-3, 0.0), 9.0,
+                                                 phase=0.4)
+        else:
+            knots = np.linspace(-p.tau_max, 0.0, 17)
+            hist = History.tabulated(p, knots, np.column_stack(
+                [x0 + 1e-3 * np.cos(9.0 * knots), y0 + knots ** 2,
+                 1e-3 - 2e-3 * knots]))
+        traj = integrate(p, hist, 0.5)
+        v0 = eval_V0(extend_history(hist, p), cert)
+        assert v0 > 0.0
+        assert v0 == eval_V_many(traj, cert, p, [0.0])[0]
 
 
-def _reference_eval_V_along(traj, cert, p, t,
-                            subintervals=V_QUAD_SUBINTERVALS):
+def _reference_V(traj, cert, p, t, subintervals=V_QUAD_SUBINTERVALS):
     """One time per call, three dense lookups: what ``eval_V_many`` batches."""
     if t < 0.0 or t > traj.t_end * (1.0 + 1e-12):
         raise DomainError(f"t = {t!r} outside [0, {traj.t_end}]")
@@ -290,11 +319,10 @@ class TestEvalVMany:
                              np.linspace(0.02, traj.t_end, 2 * V_CHUNK + 5)))
         assert ts[-1] == traj.t_end
         got = eval_V_many(traj, cert, p, ts)
-        ref = np.array([_reference_eval_V_along(traj, cert, p, float(t))
-                        for t in ts])
+        ref = np.array([_reference_V(traj, cert, p, float(t)) for t in ts])
         assert (ref > 0.0).all()
         assert (np.abs(got - ref) <= 1e-14 * ref).all()
-        assert [eval_V_along(traj, cert, p, float(t)) for t in ts[:5]] \
+        assert [eval_V_many(traj, cert, p, [t])[0] for t in ts[:5]] \
             == got[:5].tolist()
 
     @pytest.mark.parametrize("bad", [-1e-3, 1.6])
@@ -303,7 +331,7 @@ class TestEvalVMany:
         with pytest.raises(DomainError, match="outside"):
             eval_V_many(traj, cert, p, [0.5, bad, 1.0])
         with pytest.raises(DomainError, match="outside"):
-            eval_V_along(traj, cert, p, bad)
+            eval_V_many(traj, cert, p, bad)
 
 
 class TestChecks:
