@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import CertificateError, DomainError
 from .model import LinearizedSystem, ModelParams, linearize
-from .symmat import SymMatrix, is_positive_definite, inv_sqrt, sym_eigen
+from .symmat import (MAX_DIM, SymMatrix, first_not_positive_definite,
+                     is_positive_definite, inv_sqrt, sym_eigen)
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,8 @@ def build_certificate(p: ModelParams,
         raise DomainError("m_fraction must lie in (0, 1)")
     if not 0.0 < options.alpha < math.inf:
         raise DomainError("alpha must be positive and finite")
+    if not 0.0 < options.h33_factor < math.inf:
+        raise DomainError("h33_factor must be positive and finite")
     m1, m2 = choose_rates(p, options)
     lin = linearize(p)
     x0, y0 = lin.x0, lin.y0
@@ -257,11 +260,20 @@ def eval_K(cert: LKCertificate, which: int, s: float) -> np.ndarray:
     return math.exp(-m * s) * base
 
 
+def _supports(stack: np.ndarray) -> np.ndarray:
+    """Mask (k, n) of the rows of each matrix in a stack that are not zero.
+
+    A row is structurally zero when its largest entry is at most 1e-14
+    times the matrix's largest entry.
+    """
+    rows = np.abs(stack).max(axis=2)
+    scale = np.maximum(rows.max(axis=1), 1e-300)
+    return ~(rows <= 1e-14 * scale[:, None])
+
+
 def _supported_submatrix(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    scale = max(np.abs(a).max(), 1e-300)
-    zero = [i for i in range(a.shape[0]) if np.abs(a[i]).max() <= 1e-14 * scale]
-    keep = [i for i in range(a.shape[0]) if i not in zero]
-    return a[np.ix_(keep, keep)], zero
+    keep = _supports(a[None])[0]
+    return a[np.ix_(keep, keep)], np.flatnonzero(~keep).tolist()
 
 
 def _block_matrix(A, B1, B2, H, K1_0, K2_0, K1_tau, K2_tau) -> np.ndarray:
@@ -296,6 +308,31 @@ def assemble_C(cert: LKCertificate,
                              zero_rows=zero_rows)
 
 
+def _first_kernel_failure(ks: np.ndarray) -> int | None:
+    """First failing position in a kernel's samples, then its differences.
+
+    Position i < N is sample i, which must be positive definite on its
+    support; position N + i is the difference of samples i and i + 1,
+    which must be supported on as many rows as sample i and positive
+    definite there.  Matrices that share a support form one stack.
+    """
+    N = len(ks)
+    stack = np.concatenate((ks, ks[:-1] - ks[1:]))
+    keep = _supports(stack)
+    size = keep.sum(axis=1)
+    bad = np.concatenate((size[:N] == 0, size[N:] != size[:N - 1]))
+    failures = np.flatnonzero(bad).tolist()
+    groups: dict[bytes, list[int]] = {}
+    for pos in np.flatnonzero(~bad).tolist():
+        groups.setdefault(keep[pos].tobytes(), []).append(pos)
+    for positions in groups.values():
+        rows = np.flatnonzero(keep[positions[0]])
+        j = first_not_positive_definite(stack[np.ix_(positions, rows, rows)])
+        if j is not None:
+            failures.append(positions[j])
+    return min(failures, default=None)
+
+
 def check_generic_certificate(A, B1, B2, H, K1_samples,
                               K2_samples) -> GenericCheckResult:
     """Check a user-supplied certificate for the general two-delay system.
@@ -303,10 +340,15 @@ def check_generic_certificate(A, B1, B2, H, K1_samples,
     ``K1_samples`` and ``K2_samples`` are the kernels on uniform grids over
     their delay windows (first sample at s = 0, last at s = tau).  Kernels
     may be singular in unused coordinates; definiteness and strict decrease
-    are checked on the supported subspace.
+    are checked on the supported subspace.  The state dimension n is at
+    most 3, because the 3n x 3n block matrix C is checked with the
+    symmetric linear algebra of ``symmat`` (at most 9 x 9).
     """
     A, B1, B2, H = (np.asarray(m, dtype=float) for m in (A, B1, B2, H))
     n = A.shape[0]
+    if n > MAX_DIM // 3:
+        raise DomainError(f"check_generic_certificate handles state "
+                          f"dimension n <= {MAX_DIM // 3}, got {n}")
     for name, m in (("A", A), ("B1", B1), ("B2", B2), ("H", H)):
         if m.shape != (n, n):
             raise DomainError(f"matrix {name} has shape {m.shape}, expected {(n, n)}")
@@ -318,31 +360,20 @@ def check_generic_certificate(A, B1, B2, H, K1_samples,
         for k in ks:
             if k.shape != (n, n):
                 raise DomainError(f"{name} sample has shape {k.shape}")
-    pd, _ = is_positive_definite(H)
-    if not pd:
+    if first_not_positive_definite(H[None]) is not None:
         return GenericCheckResult(False, "H not positive definite")
     for name, ks in samples:
-        for i, k in enumerate(ks):
-            sub, _ = _supported_submatrix(k)
-            pd = sub.size > 0 and is_positive_definite(sub)[0]
-            if not pd:
-                return GenericCheckResult(
-                    False, f"{name}({i}) not positive definite on its support")
-        for i in range(len(ks) - 1):
-            diff = ks[i] - ks[i + 1]
-            sub, _ = _supported_submatrix(ks[i])
-            dsub, _ = _supported_submatrix(diff)
-            if dsub.shape != sub.shape:
-                return GenericCheckResult(
-                    False, f"{name} not strictly decreasing at sample {i}")
-            pd, _ = is_positive_definite(dsub)
-            if not pd:
-                return GenericCheckResult(
-                    False, f"{name} not strictly decreasing at sample {i}")
+        pos = _first_kernel_failure(np.array(ks))
+        if pos is None:
+            continue
+        if pos < len(ks):
+            failure = f"{name}({pos}) not positive definite on its support"
+        else:
+            failure = f"{name} not strictly decreasing at sample {pos - len(ks)}"
+        return GenericCheckResult(False, failure)
     (_, k1), (_, k2) = samples
     C = _block_matrix(A, B1, B2, H, k1[0], k2[0], k1[-1], k2[-1])
     sub, _ = _supported_submatrix(C)
-    pd, _ = is_positive_definite(sub)
-    if not pd:
+    if first_not_positive_definite(sub[None]) is not None:
         return GenericCheckResult(False, "C not positive definite on its support")
     return GenericCheckResult(True, None)

@@ -30,17 +30,19 @@ class History:
 
     Built through one of the preset constructors or ``tabulated``.  Each
     gives one array function, thetas -> rows (phi, psi, eta) on
-    [-tau_max, 0], and the thetas of a window where a component can peak:
-    the window endpoints plus the interior extrema of its own formula.
+    [-tau_max, 0], and the sup of a component's deviation over a window:
+    in closed form, or at the thetas where the component can peak (the
+    window endpoints plus the interior extrema of its own formula).
     The per-component windows [-tau1, 0], [-tau_max, 0], [-tau2, 0] are
     kept for the verification maxima.  Components must be non-negative
     and phi(0) must be positive.
     """
 
-    def __init__(self, p: ModelParams, rows, peaks):
+    def __init__(self, p: ModelParams, rows, sup):
         self.p = p
         self._rows = rows  # thetas (m,) in [-tau_max, 0] -> values (m, 3)
-        self._peaks = peaks  # (i, a, b) -> candidate thetas in [a, b]
+        # (history, i, a, b, center) -> sup of |component_i - center| on [a, b]
+        self._sup = sup
         self.windows = ((-p.tau1, 0.0), (-p.tau_max, 0.0), (-p.tau2, 0.0))
         self._validate()
 
@@ -50,7 +52,7 @@ class History:
     def _constant(cls, p: ModelParams, values) -> "History":
         # a constant component takes its sup anywhere, so one candidate will do
         return cls(p, lambda ts: np.full((ts.size, 3), values),
-                   lambda i, a, b: [a])
+                   lambda hist, i, a, b, center: hist._sup_at(i, [a], center))
 
     @classmethod
     def constant(cls, p: ModelParams, values) -> "History":
@@ -71,18 +73,25 @@ class History:
         eq, amp = np.array([x0, y0, 0.0]), np.array([ax, ay, az])
         w, ph = float(frequency), float(phase)
 
-        def peaks(i, a, b):
+        def sup(hist, i, a, b, center):
+            if w != 0.0 and b - a >= 2.0 * math.pi / abs(w):
+                # a full period: sin takes both 1 and -1 in the window, so
+                # the sup is |eq - center| + |amp|, here in the arithmetic
+                # of the formula at those two points
+                return float(max(abs(eq[i] + amp[i] - center),
+                                 abs(eq[i] - amp[i] - center)))
             # the window endpoints and the interior extrema of sin(w t + ph)
-            if w == 0.0:
-                return [a, b]
-            k0 = math.floor((w * a + ph) / math.pi - 0.5)
-            k1 = math.ceil((w * b + ph) / math.pi + 0.5)
-            interior = (((k + 0.5) * math.pi - ph) / w
-                        for k in range(k0, k1 + 1))
-            return [a, b] + [t for t in interior if a <= t <= b]
+            thetas = [a, b]
+            if w != 0.0:
+                lo, hi = sorted((w * a + ph, w * b + ph))  # w may be negative
+                k0 = math.floor(lo / math.pi - 0.5)
+                k1 = math.ceil(hi / math.pi + 0.5)
+                interior = (((k + 0.5) * math.pi - ph) / w
+                            for k in range(k0, k1 + 1))
+                thetas += [t for t in interior if a <= t <= b]
+            return hist._sup_at(i, thetas, center)
 
-        return cls(p, lambda ts: eq + amp * np.sin(w * ts[:, None] + ph),
-                   peaks)
+        return cls(p, lambda ts: eq + amp * np.sin(w * ts[:, None] + ph), sup)
 
     @classmethod
     def tabulated(cls, p: ModelParams, thetas, values) -> "History":
@@ -96,14 +105,15 @@ class History:
         splines = [CubicSpline(thetas, values[:, i], bc_type="natural")
                    for i in range(3)]
 
-        def peaks(i, a, b):
+        def sup(hist, i, a, b, center):
             # the window endpoints and the real roots of the spline's
             # derivative inside the window
             roots = splines[i].derivative().roots(extrapolate=False)
-            return np.concatenate(([a, b], roots[(roots > a) & (roots < b)]))
+            return hist._sup_at(i, np.concatenate(
+                ([a, b], roots[(roots > a) & (roots < b)])), center)
 
         return cls(p, lambda ts: np.column_stack([s(ts) for s in splines]),
-                   peaks)
+                   sup)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -127,12 +137,16 @@ class History:
     def sup_abs_deviation(self, i: int, window, center: float) -> float:
         """Sup of |component_i(theta) - center| over the window, exactly.
 
-        The component is evaluated at every theta where it can peak: the
+        A sine component whose window holds a full period gives
+        |equilibrium - center| + |amplitude| in closed form.  Otherwise
+        the component is evaluated at every theta where it can peak: the
         window endpoints and its formula's interior extrema (for a
         tabulated history, the real roots of the spline's derivative).
         """
-        values = self.eval_many(self._peaks(i, *window))[:, i]
-        return float(np.abs(values - center).max())
+        return self._sup(self, i, *window, center)
+
+    def _sup_at(self, i: int, thetas, center: float) -> float:
+        return float(np.abs(self.eval_many(thetas)[:, i] - center).max())
 
     def _validate(self):
         grids = [np.linspace(lo, 0.0, _GRID) for lo, _ in self.windows]

@@ -110,20 +110,38 @@ def default_region(p: ModelParams) -> Rect:
     return (-scale, 1.0, -50.0, 50.0)
 
 
-def _boundary(rects: np.ndarray, n: int) -> np.ndarray:
-    """Counter-clockwise boundary samples, one row of 4n per rectangle."""
-    re0, re1, im0, im1 = rects.T[:, :, None]
-    k = np.arange(n)
+def _boundary(rects: np.ndarray, n: int):
+    """Counter-clockwise boundary samples of each rectangle, n per edge.
 
-    def edge(a, b):
-        # np.linspace(a, b, n, endpoint=False) per row, same arithmetic
-        return k * ((b - a) / n) + a
+    Returns the samples, shape (rects, 4, n) with the edges in the order
+    bottom, right, top, left, and each edge's complex step, shape
+    (rects, 4, 1).
+    """
+    start = rects[:, [0, 2, 1, 3], None]
+    step = (rects[:, [1, 3, 0, 2], None] - start) / n
+    # np.linspace(start, stop, n, endpoint=False) per edge, same arithmetic
+    along = np.arange(n) * step + start
+    flat, upright = np.s_[:, 0::2], np.s_[:, 1::2]
+    z = np.empty(along.shape, dtype=complex)
+    z.real[flat], z.imag[flat] = along[flat], rects[:, [2, 3], None]
+    z.real[upright], z.imag[upright] = rects[:, [1, 0], None], along[upright]
+    dz = step.astype(complex)
+    dz[upright] *= 1j
+    return z, dz
 
-    bottom = edge(re0, re1) + 1j * im0
-    right = re1 + 1j * edge(im0, im1)
-    top = edge(re1, re0) + 1j * im1
-    left = re0 + 1j * edge(im1, im0)
-    return np.concatenate([bottom, right, top, left], axis=1)
+
+def _exp_grid(w0: np.ndarray, dw: np.ndarray, n: int) -> np.ndarray:
+    """exp(w0 + k*dw) for k = 0..n-1 along the last axis of w0 and dw.
+
+    With n a power of two and k = j*m + l, m about sqrt(n), the factors
+    exp(w0 + j*m*dw) and exp(l*dw) take n/m + m complex exps per row
+    instead of n.
+    """
+    m = 1 << (n.bit_length() - 1) // 2
+    coarse = np.exp(w0 + np.arange(0, n, m) * dw)
+    fine = np.exp(np.arange(m) * dw)
+    return (coarse[..., :, None] * fine[..., None, :]).reshape(
+        coarse.shape[:-1] + (n,))
 
 
 def _phase_counts(rects: np.ndarray, n: int, lin, p):
@@ -132,16 +150,37 @@ def _phase_counts(rects: np.ndarray, n: int, lin, p):
     Returns the rounded winding sums, a mask of rectangles whose boundary
     meets a root (jitter), and a mask of rectangles whose phase steps all
     stay within pi/2 (count accepted).
+
+    On each edge the samples are lambda_k = lambda_0 + k*step, so
+    exp(-tau*lambda_k) comes from ``_exp_grid`` with far fewer complex
+    exps than samples; n is a power of two.
     """
-    z = _boundary(rects, n)
-    q = _q_vec(z, lin, p)
-    nxt = np.roll(q, -1, axis=1)
+    z, dz = _boundary(rects, n)
+    # -tau, one row per distinct delay
+    taus = (p.tau1,) if p.tau1 == p.tau2 else (p.tau1, p.tau2)
+    neg = -np.array(taus)[:, None, None, None]
+    e = _exp_grid(neg * z[:, :, :1], neg * dz, n)
+    q1, q2 = _factors(z, e[0], e[-1], lin, p)
+    q = np.multiply(q1, q2, out=q1).reshape(len(rects), -1)
     aq = np.abs(q)
-    hit = aq.min(axis=1) < 1e-12 * np.maximum(np.median(aq, axis=1), 1e-300)
+    # a root on the boundary: min|Q| below 1e-12 of the median, which is
+    # at most the max, so the median is taken only where the max allows it
+    low = aq.min(axis=1)
+    hit = low < 1e-12 * np.maximum(aq.max(axis=1), 1e-300)
+    rows = np.flatnonzero(hit)
+    if rows.size:
+        hit[rows] = low[rows] < 1e-12 * np.maximum(
+            np.median(aq[rows], axis=1), 1e-300)
     # Q has real coefficients, so it is real on the real axis: a sign
-    # change between two consecutive real samples is a root on the edge
-    real = (z.imag == 0) & (np.roll(z.imag, -1, axis=1) == 0)
-    hit |= (real & (q.real * nxt.real < 0)).any(axis=1)
+    # change between two consecutive real samples is a root on the edge.
+    # Such pairs lie on a bottom edge at im = 0 with the first sample of
+    # the right edge, or on a top edge at im = 0 with that of the left.
+    for col, first in ((2, 0), (3, 2 * n)):
+        rows = np.flatnonzero(rects[:, col] == 0.0)
+        if rows.size:
+            seg = q[rows, first:first + n + 1].real
+            hit[rows] |= (seg[:, :-1] * seg[:, 1:] < 0).any(axis=1)
+    nxt = np.concatenate((q[:, 1:], q[:, :1]), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         dphi = np.angle(nxt / q)  # rows with a zero sample are already hit
     ok = ~hit & (np.abs(dphi).max(axis=1) <= 0.5 * np.pi)

@@ -7,6 +7,8 @@ from planktonfish import (CertificateError, CertificateOptions, DomainError,
                           assemble_C, build_certificate,
                           check_generic_certificate, choose_rates, derive_params,
                           eval_K, linearize)
+from planktonfish.certificate import (GenericCheckResult, _block_matrix,
+                                      _supported_submatrix)
 
 from conftest import build_stable_certified, random_stable_params
 
@@ -145,6 +147,10 @@ class TestBuildCertificate:
         for alpha in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="alpha"):
                 build_certificate(case2_params, CertificateOptions(alpha=alpha))
+        for factor in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="h33_factor"):
+                build_certificate(case2_params,
+                                  CertificateOptions(h33_factor=factor))
 
     def test_alpha_scales_the_quadratic_data(self, case2_params):
         # H and L are homogeneous of degree one in alpha, so sigma is invariant
@@ -211,6 +217,72 @@ class TestBlockMatrix:
         assert np.array_equal(C, C.T)
 
 
+def _reference_pd(m):
+    """The one-matrix definiteness test the batched check replaced."""
+    a = np.asarray(m, dtype=float)
+    a = 0.5 * (a + a.T)
+    if not np.isfinite(a).all():
+        return False
+    tol = 1e-13 * max(np.linalg.norm(a), 1e-300)
+    try:
+        return bool((np.diag(np.linalg.cholesky(a)) ** 2 > tol).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
+def _reference_generic_check(A, B1, B2, H, K1_samples, K2_samples):
+    """The generic check with every matrix tested on its own, in order."""
+    if not _reference_pd(H):
+        return GenericCheckResult(False, "H not positive definite")
+    samples = [("K1", [np.asarray(k, dtype=float) for k in K1_samples]),
+               ("K2", [np.asarray(k, dtype=float) for k in K2_samples])]
+    for name, ks in samples:
+        for i, k in enumerate(ks):
+            sub, _ = _supported_submatrix(k)
+            if not (sub.size > 0 and _reference_pd(sub)):
+                return GenericCheckResult(
+                    False, f"{name}({i}) not positive definite on its support")
+        for i in range(len(ks) - 1):
+            sub, _ = _supported_submatrix(ks[i])
+            dsub, _ = _supported_submatrix(ks[i] - ks[i + 1])
+            if dsub.shape != sub.shape or not _reference_pd(dsub):
+                return GenericCheckResult(
+                    False, f"{name} not strictly decreasing at sample {i}")
+    (_, k1), (_, k2) = samples
+    C = _block_matrix(A, B1, B2, H, k1[0], k2[0], k1[-1], k2[-1])
+    if not _reference_pd(_supported_submatrix(C)[0]):
+        return GenericCheckResult(False, "C not positive definite on its support")
+    return GenericCheckResult(True, None)
+
+
+def _kernel_mutations(cert):
+    """(name, K1 samples, K2 samples) of the model kernels and mutations."""
+    p = cert.params
+    k1 = [eval_K(cert, 1, s) for s in np.linspace(0.0, p.tau1, 9)]
+    k2 = [eval_K(cert, 2, s) for s in np.linspace(0.0, p.tau2, 9)]
+    yield "model", k1, k2
+    bad = list(k1)
+    bad[3] = bad[3] - 2.0 * np.diag(np.diag(bad[3]))
+    yield "K1(3) not PD", bad, k2
+    bad = list(k2)
+    bad[6] = bad[5] + 1e-3 * np.abs(bad[5]).max() * np.eye(3)
+    yield "K2 rises after sample 5", k1, bad
+    bad = list(k2)
+    bad[6] = bad[5]
+    yield "K2 flat after sample 5", k1, bad
+    yield "constant K1", [k1[0]] * 5, k2
+    bad = list(k1)
+    bad[4] = bad[4].copy()
+    bad[4][0, 1] = np.nan
+    yield "NaN in K1(4)", bad, k2
+    # K1 gains a row (and column) from sample 6 on: another support
+    extra = np.zeros((3, 3))
+    extra[2, 2] = 1e-3 * np.abs(k1[0]).max()
+    yield "K1 support grows", k1[:6] + [k + extra for k in k1[6:]], k2
+    yield "K1 support shrinks", [k + extra for k in k1[:6]] + k1[6:], k2
+    yield "K2 all zero", k1, [np.zeros((3, 3))] * 4
+
+
 class TestGenericCheck:
     def _samples(self, cert, which, n=9):
         tau = cert.params.tau1 if which == 1 else cert.params.tau2
@@ -250,6 +322,43 @@ class TestGenericCheck:
         result = check_generic_certificate(
             lin.A, lin.B1, lin.B2, cert.H, flat, self._samples(cert, 2))
         assert not result.ok and "decreasing" in result.failure
+
+    def test_matches_one_matrix_at_a_time(self, case2_cert):
+        cert = case2_cert
+        lin = cert.lin
+        seen = set()
+        for name, k1, k2 in _kernel_mutations(cert):
+            args = (lin.A, lin.B1, lin.B2, cert.H, k1, k2)
+            result = check_generic_certificate(*args)
+            assert result == _reference_generic_check(*args), name
+            seen.add(result.failure)
+        assert seen == {None, "K1(3) not positive definite on its support",
+                        "K2 not strictly decreasing at sample 5",
+                        "K1 not strictly decreasing at sample 0",
+                        "K1(4) not positive definite on its support",
+                        "K1 not strictly decreasing at sample 5",
+                        "K2(0) not positive definite on its support"}
+
+    def test_one_cholesky_per_stack(self, case2_cert, monkeypatch):
+        # H, each kernel's samples with its differences, and C: four stacks
+        # (one matrix at a time made 36 calls)
+        cert = case2_cert
+        lin = cert.lin
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: calls.append(a.shape) or cholesky(a))
+        result = check_generic_certificate(
+            lin.A, lin.B1, lin.B2, cert.H,
+            self._samples(cert, 1), self._samples(cert, 2))
+        assert result.ok
+        assert len(calls) <= 5, calls
+
+    def test_state_dimension_limit(self):
+        eye = np.eye(4)
+        with pytest.raises(DomainError, match="n <= 3"):
+            check_generic_certificate(-eye, 0 * eye, 0 * eye, eye,
+                                      [eye, 0.5 * eye], [eye, 0.5 * eye])
 
     def test_shape_validation(self, case2_cert):
         cert = case2_cert

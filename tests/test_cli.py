@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,19 @@ class TestRunScenario:
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == EXIT_INPUT
         assert capsys.readouterr().out.startswith("input error: ")
 
+    @pytest.mark.parametrize("factor", [".nan", ".inf", "-1.0", "0.0"])
+    def test_bad_h33_factor_is_inadmissible(self, tmp_path, factor):
+        # rejected as alpha is, before det L or H^(-1/2) see it
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump({"params": CASE2, "horizon": 1.0})
+                       + f"overrides: {{h33_factor: {factor}}}\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg), "--out", str(out)]) == EXIT_INADMISSIBLE
+        assert ("certificate not constructed (h33_factor must be positive "
+                "and finite)") in (out / "report.txt").read_text()
+
     def test_output_selection(self, tmp_path):
         tree = {
             "params": CASE2,
@@ -349,6 +363,16 @@ class TestSweep:
             f"error: key {key!r} does not address an element of "
             "history.offsets"] * 2
         assert all(row[8] == str(EXIT_INPUT) for row in rows)
+
+    def test_bad_h33_factor_row_is_inadmissible(self, small_config,
+                                                tmp_path):
+        code = main(["sweep", small_config, "--key", "overrides.h33_factor",
+                     "--values=-1.0,2.0", "--out", str(tmp_path / "sw")])
+        assert code == EXIT_OK
+        rows = _data_rows(tmp_path / "sw" / "sweep_summary.csv")
+        assert rows[0] == ["-1", "AsymptoticallyStable", "", "", "", "", "",
+                           "", str(EXIT_INADMISSIBLE)]
+        assert rows[1][8] == str(EXIT_OK)
 
     def test_short_horizon_recorded_as_row_error(self, small_config,
                                                  tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import math
+import time
 
 import numpy as np
 import pytest
@@ -222,6 +223,47 @@ class TestHistory:
         sup = hist.sup_abs_deviation(1, window, 0.5)
         assert sup == pytest.approx(expected, rel=1e-12)
         assert sup >= grid_max_abs_deviation(hist, 1, window, 0.5)
+
+    def test_sine_sup_over_a_full_period_is_closed_form(self, case2_params):
+        # extrema are not enumerated when the window holds a full period
+        hist = History.equilibrium_plus_sine(case2_params, (0.0, 0.03, 0.0),
+                                             1e10, phase=0.3)
+        _, y0 = plankton_only_point(case2_params)
+        start = time.perf_counter()
+        sup = hist.sup_abs_deviation(1, (-case2_params.tau1, 0.0), 0.5)
+        assert time.perf_counter() - start < 0.1
+        assert sup == max(abs(y0 + 0.03 - 0.5), abs(y0 - 0.03 - 0.5))
+        assert sup == pytest.approx(abs(y0 - 0.5) + 0.03, rel=1e-15)
+
+    @pytest.mark.parametrize("frequency, phase", [
+        (3.0, 0.0), (37.0, 0.4), (50.0, 0.2), (62.0, -1.1)])
+    def test_sine_sup_below_a_period_keeps_its_candidates(self, case2_params,
+                                                          frequency, phase):
+        # the sup before the closed form, at the endpoints and extrema
+        p = case2_params
+        hist = History.equilibrium_plus_sine(p, (0.02, 0.03, 0.0), frequency,
+                                             phase=phase)
+        for i, (a, b) in enumerate(hist.windows[:2]):
+            assert frequency * (b - a) < 2.0 * math.pi
+            k0 = math.floor((frequency * a + phase) / math.pi - 0.5)
+            k1 = math.ceil((frequency * b + phase) / math.pi + 0.5)
+            interior = (((k + 0.5) * math.pi - phase) / frequency
+                        for k in range(k0, k1 + 1))
+            thetas = [a, b] + [t for t in interior if a <= t <= b]
+            expected = float(np.abs(hist.eval_many(thetas)[:, i] - 0.4).max())
+            assert hist.sup_abs_deviation(i, (a, b), 0.4) == expected
+
+    def test_sine_sup_with_negative_frequency(self, case2_params):
+        # sin(-60 t) on [-0.1, 0] passes both pi/2 and 3 pi/2
+        hist = History.equilibrium_plus_sine(case2_params, (0.0, 0.07, 0.0),
+                                             -60.0)
+        mirror = History.equilibrium_plus_sine(case2_params,
+                                               (0.0, -0.07, 0.0), 60.0)
+        window = (-case2_params.tau1, 0.0)
+        sup = hist.sup_abs_deviation(1, window, 0.3)
+        assert sup == pytest.approx(mirror.sup_abs_deviation(1, window, 0.3),
+                                    rel=1e-12)
+        assert sup >= grid_max_abs_deviation(hist, 1, window, 0.3, 100001)
 
     def test_tabulated_sup_covers_dense_grid(self, case2_params):
         knots = np.linspace(-case2_params.tau_max, 0.0, 9)
