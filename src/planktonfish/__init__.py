@@ -12,7 +12,7 @@ from .simulate import (History, Trajectory, check_positivity_boundedness,
                        default_step, integrate)
 from .spectrum import (RootReport, StabilityVerdict, eval_Q, eval_factors,
                        lemma_classify, root_scan)
-from .symmat import SymMatrix, inv_sqrt, is_positive_definite, sym_eigen
+from .symmat import is_positive_definite
 from .verify import (ExtendedHistory, TheoremReport, check_differential_inequality,
                      check_envelope, check_initial_conditions, eval_V0,
                      eval_V_many, extend_history, gronwall_bound,

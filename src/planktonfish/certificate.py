@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import CertificateError, DomainError
 from .model import LinearizedSystem, ModelParams, linearize
-from .symmat import (MAX_DIM, SymMatrix, first_not_positive_definite,
-                     is_positive_definite, inv_sqrt, sym_eigen)
+from .symmat import first_not_positive_definite, is_positive_definite
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,6 @@ class LKCertificate:
     H: np.ndarray
     H1: np.ndarray
     H2: np.ndarray
-    Htilde1: np.ndarray
-    Htilde2: np.ndarray
     L: np.ndarray
     sigma: float
     epsilon: float
@@ -95,10 +92,9 @@ class BlockMatrixReport:
     those rows).
     """
 
-    C: SymMatrix
+    C: np.ndarray
     positive_definite: bool
     min_eig_supported: float
-    min_eig_full: float
     zero_rows: list[int]
 
 
@@ -184,10 +180,6 @@ def build_certificate(p: ModelParams,
     H = np.array([[h11, h12, 0.0], [h12, h22, 0.0], [0.0, 0.0, h33]])
     H1 = np.array([[h11, h12, 0.0], [h12, h22, 0.0], [0.0, 0.0, 0.0]])
     H2 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, h33]])
-    Ht1 = np.zeros((3, 3))
-    Ht1[1, 0], Ht1[1, 1] = h12, h22
-    Ht2 = np.zeros((3, 3))
-    Ht2[2, 2] = h33
     L = np.array([[l11, l12, l13], [l12, l22, l23], [l13, l23, l33]])
 
     def _fail(item: str):
@@ -200,19 +192,15 @@ def build_certificate(p: ModelParams,
         _fail("l11*l22 - l12^2 > 0")
     if not np.linalg.det(L) > 0.0:
         _fail("det L > 0")
-    if not (h11 > 0.0 and h22 > 0.0 and h33 > 0.0
-            and h11 * h22 - h12 * h12 > 0.0):
-        _fail("H positive definite (Sylvester chain)")
+    if first_not_positive_definite(H[None]) is not None:
+        _fail("H positive definite")
 
-    hs = inv_sqrt(H).array()
-    sigma_eigs, _ = sym_eigen(hs @ L @ hs)
-    sigma = float(sigma_eigs[0])
+    # sigma = lambda_min of the pencil (L, H); with H = R R^T it is the
+    # smallest eigenvalue of R^{-1} L R^{-T}
+    r_inv = np.linalg.inv(np.linalg.cholesky(H))
+    sigma = float(np.linalg.eigvalsh(r_inv @ L @ r_inv.T)[0])
     if not sigma > 0.0:
         _fail("sigma > 0")
-    residual = L - sigma * H
-    res_eigs, _ = sym_eigen(residual)
-    if res_eigs[0] < -1e-10 * np.linalg.norm(L):
-        _fail("L - sigma*H positive semidefinite")
 
     mu1 = mu2 = options.mu_fraction * sigma
     epsilon = min(sigma - 2.0 * max(mu1, mu2), m1, m2)
@@ -236,7 +224,7 @@ def build_certificate(p: ModelParams,
         params=p, lin=lin, x0=x0, y0=y0, alpha=alpha, beta=beta,
         m1=m1, m2=m2, mu1=mu1, mu2=mu2,
         h11=h11, h12=h12, h22=h22, h33=h33,
-        H=H, H1=H1, H2=H2, Htilde1=Ht1, Htilde2=Ht2, L=L,
+        H=H, H1=H1, H2=H2, L=L,
         sigma=sigma, epsilon=epsilon, q=q)
 
 
@@ -292,8 +280,8 @@ def assemble_C(cert: LKCertificate,
     """The 9x9 block matrix whose definiteness certifies decay.
 
     Rows corresponding to coordinates that the delay kernels do not act on
-    are identically zero, so the PD verdict refers to the supported
-    subspace; the full-spectrum minimum eigenvalue is reported alongside.
+    are identically zero, so the PD verdict and the smallest eigenvalue
+    refer to the supported subspace.
     """
     lin = lin or cert.lin
     p = cert.params
@@ -302,10 +290,8 @@ def assemble_C(cert: LKCertificate,
                       eval_K(cert, 1, p.tau1), eval_K(cert, 2, p.tau2))
     sub, zero_rows = _supported_submatrix(C)
     pd, min_sub = is_positive_definite(sub)
-    _, min_full = is_positive_definite(C)
-    return BlockMatrixReport(C=SymMatrix.from_array(C), positive_definite=pd,
-                             min_eig_supported=min_sub, min_eig_full=min_full,
-                             zero_rows=zero_rows)
+    return BlockMatrixReport(C=C, positive_definite=pd,
+                             min_eig_supported=min_sub, zero_rows=zero_rows)
 
 
 def _first_kernel_failure(ks: np.ndarray) -> int | None:
@@ -340,15 +326,10 @@ def check_generic_certificate(A, B1, B2, H, K1_samples,
     ``K1_samples`` and ``K2_samples`` are the kernels on uniform grids over
     their delay windows (first sample at s = 0, last at s = tau).  Kernels
     may be singular in unused coordinates; definiteness and strict decrease
-    are checked on the supported subspace.  The state dimension n is at
-    most 3, because the 3n x 3n block matrix C is checked with the
-    symmetric linear algebra of ``symmat`` (at most 9 x 9).
+    are checked on the supported subspace.
     """
     A, B1, B2, H = (np.asarray(m, dtype=float) for m in (A, B1, B2, H))
     n = A.shape[0]
-    if n > MAX_DIM // 3:
-        raise DomainError(f"check_generic_certificate handles state "
-                          f"dimension n <= {MAX_DIM // 3}, got {n}")
     for name, m in (("A", A), ("B1", B1), ("B2", B2), ("H", H)):
         if m.shape != (n, n):
             raise DomainError(f"matrix {name} has shape {m.shape}, expected {(n, n)}")

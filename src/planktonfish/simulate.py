@@ -278,8 +278,12 @@ def integrate(p: ModelParams, hist: History, t_end: float,
     tau1, tau2 = p.tau1, p.tau2
     ec1, ec2 = p.e1 * c1, p.e2 * c2
     hh, h6 = 0.5 * h, h / 6.0
-    states = np.zeros((n + 1, 3))
-    derivs = np.zeros((n + 1, 3))
+    try:
+        states = np.zeros((n + 1, 3))
+        derivs = np.zeros((n + 1, 3))
+    except (MemoryError, ValueError) as exc:
+        raise DomainError(f"{n:.6g} steps of size {h:g} cannot be "
+                          f"stored ({exc})") from None
     flat_states, flat_derivs = states.reshape(-1), derivs.reshape(-1)
     states[0] = hist(0.0)
     x, y, z = states[0].tolist()

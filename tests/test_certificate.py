@@ -18,6 +18,24 @@ def case2_cert(case2_params):
     return build_certificate(case2_params)
 
 
+def _reference_sigma(cert):
+    """sigma = lambda_min(H^{-1/2} L H^{-1/2}), with H^{-1/2} from an
+    eigendecomposition of H: the form the Cholesky factor replaced."""
+    vals, vecs = np.linalg.eigh(cert.H)
+    hs = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
+    hs = 0.5 * (hs + hs.T)
+    return float(np.linalg.eigvalsh(hs @ cert.L @ hs)[0])
+
+
+def _near_boundary_params(k):
+    """README rates with d1 = e1*c1*K/3 * (1 + k * 2**-52), k ulps inside
+    the lower end of the stability gap, where H is nearly singular."""
+    e1c1K = 3.0 * math.exp(-0.1)
+    return derive_params(r=1.0, K=1.0, c1=1.0, c2=1.0,
+                         d1=e1c1K / 3.0 * (1.0 + k * 2.0 ** -52), d2=1.0,
+                         b1=3.0, b2=1.0, tau1=0.1, tau2=0.1)
+
+
 class TestChooseRates:
     def test_fish_rate_closed_form(self):
         # pick d2 = e * (e2*c2*y0) so the supremum of the m2 range is 2/tau2
@@ -102,13 +120,14 @@ class TestBuildCertificate:
         for _ in range(10):
             p, cert = build_stable_certified(rng)
             lin = cert.lin
+            ht1 = np.zeros((3, 3))
+            ht1[1, 0], ht1[1, 1] = cert.h12, cert.h22
+            ht2 = np.diag([0.0, 0.0, cert.h33])
             rhs = -(cert.H @ lin.A + lin.A.T @ cert.H
                     + cert.alpha * lin.B1.T @ lin.B1
                     + cert.beta * lin.B2.T @ lin.B2
-                    + math.exp(cert.m1 * p.tau1) / cert.alpha
-                    * cert.Htilde1.T @ cert.Htilde1
-                    + math.exp(cert.m2 * p.tau2) / cert.beta
-                    * cert.Htilde2.T @ cert.Htilde2)
+                    + math.exp(cert.m1 * p.tau1) / cert.alpha * ht1.T @ ht1
+                    + math.exp(cert.m2 * p.tau2) / cert.beta * ht2.T @ ht2)
             scale = np.abs(cert.L).max()
             assert np.abs(cert.L - rhs).max() <= 1e-9 * scale
 
@@ -133,6 +152,38 @@ class TestBuildCertificate:
         bumped = np.linalg.eigvalsh(
             cert.L - (cert.sigma * 1.001 + 1e-9) * cert.H)
         assert bumped[0] < 0
+
+    def test_sigma_matches_inverse_square_root(self):
+        rng = np.random.default_rng(46)
+        for _ in range(30):
+            cert = build_certificate(random_stable_params(rng))
+            ref = _reference_sigma(cert)
+            assert abs(cert.sigma - ref) <= 1e-12 * ref
+
+    def test_sigma_is_the_pencil_eigenvalue(self):
+        # sigma is the largest s with L - s*H positive semidefinite: at
+        # sigma the pencil is singular, and a relative 1e-6 more breaks it
+        rng = np.random.default_rng(47)
+        for _ in range(30):
+            cert = build_certificate(random_stable_params(rng))
+            norm_L = np.linalg.norm(cert.L)
+            slack = np.linalg.eigvalsh(cert.L - cert.sigma * cert.H)[0]
+            assert abs(slack) <= 1e-12 * norm_L
+            bumped = np.linalg.eigvalsh(
+                cert.L - cert.sigma * (1.0 + 1e-6) * cert.H)[0]
+            assert bumped < 0.0
+
+    # near the lower end of the stability gap the positive-definiteness
+    # rule refuses H up to k = 246 ulps and accepts it from k = 247 on
+    @pytest.mark.parametrize("k", [1, 246])
+    def test_nearly_singular_weight_rejected(self, k):
+        with pytest.raises(CertificateError, match="H positive definite"):
+            build_certificate(_near_boundary_params(k))
+
+    @pytest.mark.parametrize("k", [247, 1000])
+    def test_weight_just_inside_the_rule_accepted(self, k):
+        cert = build_certificate(_near_boundary_params(k))
+        assert cert.sigma > 0.0 and cert.epsilon > 0.0
 
     def test_report_contains_all_scalars(self, case2_cert):
         text = case2_cert.report()
@@ -202,7 +253,9 @@ class TestBlockMatrix:
         assert report.min_eig_supported > 0
         # kernels act on three of the nine delayed coordinates only
         assert len(report.zero_rows) == 3
-        assert abs(report.min_eig_full) <= 1e-12 * report.C.norm()
+        # the full matrix is singular along those rows
+        min_full = np.linalg.eigvalsh(report.C)[0]
+        assert abs(min_full) <= 1e-12 * np.linalg.norm(report.C)
 
     def test_random_stable_sets(self):
         rng = np.random.default_rng(45)
@@ -213,7 +266,7 @@ class TestBlockMatrix:
             assert report.min_eig_supported > 0
 
     def test_symmetry(self, case2_cert):
-        C = assemble_C(case2_cert).C.array()
+        C = assemble_C(case2_cert).C
         assert np.array_equal(C, C.T)
 
 
@@ -354,11 +407,56 @@ class TestGenericCheck:
         assert result.ok
         assert len(calls) <= 5, calls
 
-    def test_state_dimension_limit(self):
-        eye = np.eye(4)
-        with pytest.raises(DomainError, match="n <= 3"):
-            check_generic_certificate(-eye, 0 * eye, 0 * eye, eye,
-                                      [eye, 0.5 * eye], [eye, 0.5 * eye])
+    def test_block_diagonal_pair_beyond_three_states(self):
+        # n = 4: two decoupled 2-dimensional certificates side by side; the
+        # pair is certified exactly when both blocks are
+        a = np.array([[-2.0, 0.5], [0.0, -1.5]])
+        b1 = np.array([[0.1, 0.0], [0.2, 0.1]])
+        b2 = np.array([[0.0, 0.1], [0.1, 0.0]])
+        h = np.array([[1.0, 0.1], [0.1, 1.0]])
+        k1 = [np.exp(-s) * np.eye(2) for s in np.linspace(0.0, 0.5, 5)]
+        k2 = [np.exp(-2.0 * s) * np.diag([1.0, 0.5])
+              for s in np.linspace(0.0, 0.3, 5)]
+        bad_k1 = list(k1)
+        bad_k1[2] = np.diag([1.0, -1.0]) * bad_k1[2]
+        cases = {"good": (a, b1, b2, h, k1, k2),
+                 "bad K1": (a, b1, b2, h, bad_k1, k2),
+                 "unstable": (-a, b1, b2, h, k1, k2)}
+        alone = {name: check_generic_certificate(*case)
+                 for name, case in cases.items()}
+
+        def pair(x, y):
+            z = np.zeros((2, 2))
+            mats = [np.block([[m, z], [z, w]]) for m, w in zip(x[:4], y[:4])]
+            kernels = [[np.block([[m, z], [z, w]]) for m, w in zip(kx, ky)]
+                       for kx, ky in zip(x[4:], y[4:])]
+            return check_generic_certificate(*mats, *kernels)
+
+        for x in cases:
+            for y in cases:
+                both = pair(cases[x], cases[y])
+                assert both.ok == (alone[x].ok and alone[y].ok), (x, y)
+        assert alone["good"].ok and not alone["unstable"].ok
+        failure = "K1(2) not positive definite on its support"
+        assert alone["bad K1"].failure == failure
+        assert pair(cases["good"], cases["bad K1"]).failure == failure
+        assert pair(cases["bad K1"], cases["good"]).failure == failure
+        assert pair(cases["good"], cases["unstable"]).failure == (
+            "C not positive definite on its support")
+
+    def test_one_state(self):
+        k1 = [np.array([[np.exp(-s)]]) for s in np.linspace(0.0, 0.5, 5)]
+        k2 = [np.array([[np.exp(-s)]]) for s in np.linspace(0.0, 0.2, 5)]
+        args = (np.array([[-3.0]]), np.array([[0.2]]), np.array([[0.1]]),
+                np.array([[1.0]]))
+        assert check_generic_certificate(*args, k1, k2).ok
+        # a growing mode cannot be certified
+        result = check_generic_certificate(np.array([[3.0]]), *args[1:],
+                                           k1, k2)
+        assert result.failure == "C not positive definite on its support"
+        result = check_generic_certificate(*args[:3], np.array([[-1.0]]),
+                                           k1, k2)
+        assert result.failure == "H not positive definite"
 
     def test_shape_validation(self, case2_cert):
         cert = case2_cert

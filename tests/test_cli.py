@@ -168,6 +168,22 @@ class TestRunScenario:
             f"= 0.002, got {horizon!r}\n")
         assert not any((tmp_path / "out").iterdir())
 
+    # 2e303 and 1e23 steps: more than numpy can shape, so nothing is allocated
+    @pytest.mark.parametrize("extra, steps", [
+        ({"horizon": 1e300}, "2e+303 steps of size 0.0005"),
+        ({"horizon": 1.0, "solver": {"step_divisor": 10 ** 21}},
+         "1e+23 steps of size 1e-23"),
+    ])
+    def test_unstorable_step_count_is_input_error(self, tmp_path, capsys,
+                                                  extra, steps):
+        tree = {"params": CASE2, "outputs": {"dir": str(tmp_path / "out")},
+                **extra}
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        assert main(["run", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"input error: {steps} cannot be stored" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_horizon_of_four_steps_runs(self, tmp_path):
         tree = {"params": CASE2, "horizon": 0.002,
                 "history": {"preset": "equilibrium_plus_constant",
@@ -373,6 +389,14 @@ class TestSweep:
         assert rows[0] == ["-1", "AsymptoticallyStable", "", "", "", "", "",
                            "", str(EXIT_INADMISSIBLE)]
         assert rows[1][8] == str(EXIT_OK)
+
+    def test_unstorable_horizon_recorded_as_row_error(self, small_config,
+                                                      tmp_path):
+        code = main(["sweep", small_config, "--key", "horizon",
+                     "--values", "1.0,1e300", "--out", str(tmp_path / "sw")])
+        assert code == EXIT_OK
+        rows = _data_rows(tmp_path / "sw" / "sweep_summary.csv")
+        assert [row[8] for row in rows] == [str(EXIT_OK), str(EXIT_INPUT)]
 
     def test_short_horizon_recorded_as_row_error(self, small_config,
                                                  tmp_path):

@@ -408,6 +408,27 @@ class TestIntegrate:
             integrate(case2_params, hist, 50.0)
         assert str(raised.value) == message
 
+    # step counts whose arrays numpy refuses to shape: no allocation is tried
+    @pytest.mark.parametrize("t_end, step", [(1e300, None), (1.0, 1e-21)])
+    def test_unstorable_step_count_is_domain_error(self, case2_params, t_end,
+                                                   step):
+        hist = History.equilibrium_plus_constant(case2_params, (0.01, 0.0, 0.0))
+        with pytest.raises(DomainError, match=r"steps of size .* cannot be "
+                                              r"stored"):
+            integrate(case2_params, hist, t_end, step=step)
+
+    def test_failed_allocation_is_domain_error(self, case2_params,
+                                               monkeypatch):
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError("Unable to allocate 48 PiB")
+
+        monkeypatch.setattr(simulate.np, "zeros", no_memory)
+        hist = History.equilibrium_plus_constant(case2_params, (0.01, 0.0, 0.0))
+        with pytest.raises(DomainError) as raised:
+            integrate(case2_params, hist, 1.0)
+        assert str(raised.value) == ("2000 steps of size 0.0005 cannot be "
+                                     "stored (Unable to allocate 48 PiB)")
+
     def test_deterministic_rerun(self, case2_params):
         hist = History.equilibrium_plus_sine(case2_params, (0.02, 0.01, 0.0),
                                              2.0)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from planktonfish import (DomainError, SymMatrix, assemble_C, build_certificate,
-                          eval_K, inv_sqrt, is_positive_definite, sym_eigen)
+from planktonfish import (DomainError, assemble_C, build_certificate, eval_K,
+                          is_positive_definite)
 from planktonfish.certificate import _supported_submatrix
-from planktonfish.symmat import _PD_TOL
+from planktonfish.symmat import _PD_TOL, first_not_positive_definite
 
 from conftest import random_stable_params
 
@@ -36,7 +36,7 @@ def _reference_pd(a):
 def _certificate_matrices(cert):
     """H, C (full and supported) and the supported kernel samples."""
     p = cert.params
-    C = assemble_C(cert).C.array()
+    C = assemble_C(cert).C
     yield "H", cert.H
     yield "C", C
     yield "C supported", _supported_submatrix(C)[0]
@@ -44,51 +44,6 @@ def _certificate_matrices(cert):
         for k in range(9):
             K = eval_K(cert, which, tau * k / 8)
             yield f"K{which}({k})", _supported_submatrix(K)[0]
-
-
-class TestSymMatrix:
-    def test_mirrors_upper_triangle(self):
-        m = SymMatrix(np.array([[1.0, 2.0], [99.0, 3.0]]))
-        a = m.array()
-        assert a[1, 0] == 2.0 and a[0, 1] == 2.0
-
-    def test_dimension_cap(self):
-        with pytest.raises(DomainError):
-            SymMatrix(np.zeros((10, 10)))
-
-    def test_indexing_and_norm(self):
-        m = SymMatrix.from_array(np.diag([3.0, 4.0]))
-        assert m[0, 0] == 3.0
-        assert m.norm() == pytest.approx(5.0)
-
-
-class TestSymEigen:
-    def test_diagonal_matrix(self):
-        vals, vecs = sym_eigen(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(vals, [1.0, 2.0, 3.0])
-        assert np.allclose(np.abs(vecs), np.eye(3)[:, [1, 2, 0]])
-
-    def test_zero_matrix(self):
-        vals, vecs = sym_eigen(np.zeros((4, 4)))
-        assert not vals.any()
-        assert np.array_equal(vecs, np.eye(4))
-
-    def test_reconstruction_and_oracle_agreement(self):
-        rng = np.random.default_rng(31)
-        for n in (2, 3, 5, 9):
-            for _ in range(20):
-                a = _random_symmetric(rng, n)
-                vals, vecs = sym_eigen(a)
-                scale = max(np.abs(a).max(), 1.0)
-                # eigen-decomposition reconstructs the matrix
-                assert np.abs(vecs @ np.diag(vals) @ vecs.T - a).max() \
-                    <= 1e-10 * scale
-                # orthogonality
-                assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= 1e-12
-                # ascending order and agreement with the reference solver
-                assert np.all(np.diff(vals) >= -1e-12 * scale)
-                assert np.allclose(vals, np.linalg.eigvalsh(a),
-                                   atol=1e-10 * scale)
 
 
 class TestPositiveDefinite:
@@ -175,23 +130,14 @@ class TestPositiveDefinite:
             pd, min_eig = is_positive_definite(_random_spd(rng, n))
             assert pd and min_eig > 0
 
-
-class TestInvSqrt:
-    def test_identity(self):
-        assert np.array_equal(inv_sqrt(np.eye(3)).array(), np.eye(3))
-
-    def test_diagonal(self):
-        root = inv_sqrt(np.diag([4.0, 9.0])).array()
-        assert np.allclose(root, np.diag([0.5, 1.0 / 3.0]))
-
-    def test_defining_property(self):
-        rng = np.random.default_rng(34)
-        for _ in range(30):
-            n = int(rng.integers(2, 10))
-            a = _random_spd(rng, n)
-            s = inv_sqrt(a).array()
-            assert np.abs(s @ a @ s - np.eye(n)).max() <= 1e-10 * n
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(DomainError):
-            inv_sqrt(np.diag([1.0, -1.0]))
+    def test_stack_shape_check_without_size_cap(self):
+        for bad in (np.eye(3), np.zeros((2, 3, 4)), np.zeros(3)):
+            with pytest.raises(DomainError, match="square"):
+                first_not_positive_definite(bad)
+        with pytest.raises(DomainError, match="square"):
+            is_positive_definite(np.zeros((2, 3)))
+        # LAPACK needs no dimension cap: 12 x 12 is decided like 3 x 3
+        stack = np.stack([np.eye(12), np.eye(12), np.eye(12)])
+        assert first_not_positive_definite(stack) is None
+        stack[1, 11, 11] = -1.0
+        assert first_not_positive_definite(stack) == 1
