@@ -75,6 +75,12 @@ class LKCertificate:
                      "h11", "h12", "h22", "h33", "sigma", "epsilon", "q"):
             out.write(f"{name} = {getattr(self, name):.17g}\n")
         out.write(f"minor h11*h22-h12^2 = {self.minor:.17g}\n")
+        # sigma, from the Cholesky factor of H, loses about cond(H)*2**-52
+        # relative; near the ends of the stability gap that is many digits.
+        # H is positive definite, so its 2-norm condition number is
+        # lambda_max/lambda_min
+        eig = np.linalg.eigvalsh(self.H)
+        out.write(f"cond_H = {eig[-1] / eig[0]:.17g}\n")
         for name in ("H", "L"):
             out.write(f"{name} =\n")
             for row in getattr(self, name):

@@ -187,8 +187,9 @@ class RunResult:
     """What one pipeline run produced; a field is None if not reached.
 
     ``verdict`` is the lemma's verdict kind, or ``"inapplicable"`` when
-    the lemma does not apply; it is None only when the parameters are
-    invalid, and then ``error`` holds the message.
+    the lemma does not apply; it is None when the run stopped before the
+    lemma.  ``error`` holds the message of an input error (exit code 4),
+    whether it came before the verdict or after it.
     """
     code: int
     files: dict[str, Path]
@@ -200,7 +201,7 @@ class RunResult:
 
     def summary_row(self, value: float) -> list[str]:
         """This run's row of ``sweep_summary.csv``."""
-        if self.verdict is None:
+        if self.error is not None:
             return _error_row(value, self.error)
         sigma = epsilon = q = v0 = admissible = worst = ""
         if self.cert is not None:

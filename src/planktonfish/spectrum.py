@@ -265,23 +265,23 @@ def _in_rect(z: complex, rect: Rect, slack: float = 1e-9) -> bool:
     return re0 - w <= z.real <= re1 + w and im0 - w <= z.imag <= im1 + w
 
 
-def _roots_in_rects(rects: list[Rect], counts: list[int], lin,
-                    p) -> list[complex]:
+def _roots_in_rects(cells: list[tuple[int, Rect, int]], lin,
+                    p) -> list[tuple[tuple[int, ...], complex]]:
     """Roots inside rectangles of known winding number, subdivided level by level.
 
-    Newton runs from the centre of every rectangle of a level.  A
-    rectangle with winding number 1 whose Newton root lies inside it with
-    residual <= ``ROOT_RESIDUAL_TOL`` yields that root; one at depth
-    ``_MAX_DEPTH`` or below 1e-8 on both sides yields its Newton root if
-    inside; every other rectangle splits into quadrants.  The quadrants of
-    the whole level get their winding numbers from one ``_windings`` call,
-    and those with winding number 0 are dropped.  Each root is tagged with
-    its path (rectangle index, then quadrant indices), so sorting by path
-    gives the depth-first order.
+    ``cells`` holds (index, rectangle, winding number) triples.  Newton
+    runs from the centre of every rectangle of a level.  A rectangle with
+    winding number 1 whose Newton root lies inside it with residual <=
+    ``ROOT_RESIDUAL_TOL`` yields that root; one at depth ``_MAX_DEPTH`` or
+    below 1e-8 on both sides yields its Newton root if inside; every other
+    rectangle splits into quadrants.  The quadrants of the whole level get
+    their winding numbers from one ``_windings`` call, and those with
+    winding number 0 are dropped.  Each root is returned with its path
+    (cell index, then quadrant indices), so sorting by path gives the
+    depth-first order.
     """
     found: list[tuple[tuple[int, ...], complex]] = []
-    level = [((k,), rect, c) for k, (rect, c) in enumerate(zip(rects, counts))
-             if c != 0]
+    level = [((k,), rect, c) for k, rect, c in cells if c != 0]
     depth = 0
     while level:
         quads: list[tuple[tuple[int, ...], Rect]] = []
@@ -308,8 +308,7 @@ def _roots_in_rects(rects: list[Rect], counts: list[int], lin,
         level = [(path, quad, c)
                  for (path, quad), c in zip(quads, windings) if c != 0]
         depth += 1
-    found.sort(key=lambda item: item[0])
-    return [z for _, z in found]
+    return found
 
 
 def root_scan(lin: LinearizedSystem, p: ModelParams,
@@ -326,6 +325,18 @@ def root_scan(lin: LinearizedSystem, p: ModelParams,
     level, go through one breadth-first ``_windings`` call, which batches
     every boundary sampling of their refinement ladders; edges on the
     real axis that straddle a root are jittered at once.
+
+    Q has real coefficients, so Q(conj z) = conj Q(z) and the roots are
+    closed under conjugation.  A grid cell below the real axis (im_max <=
+    0) whose negated, swapped im edges equal those of the cell above it
+    in row ni-1-j bit for bit is therefore not sampled: it takes that
+    cell's winding number, and each of its roots conjugated, tagged with
+    the mirrored path (quadrant q becomes q ^ 2), so the sort by path and
+    the de-duplication keep the full scan's order and its first copy of
+    every real root.  The default region with ni = 8 or 10 mirrors
+    every lower row; asymmetric regions, a region starting at the real
+    axis and the middle row of an odd ni are scanned whole, as is any row
+    whose linspace edges do not negate exactly.
     """
     if region is None:
         region = default_region(p)
@@ -340,12 +351,28 @@ def root_scan(lin: LinearizedSystem, p: ModelParams,
     subs = [(float(re_edges[i]), float(re_edges[i + 1]),
              float(im_edges[j]), float(im_edges[j + 1]))
             for i in range(nr) for j in range(ni)]
-    windings = _windings(subs, lin, p)
-    counts = list(zip(subs, windings))
-    roots = _roots_in_rects(subs, windings, lin, p)
+    # cell k's winding number and roots come from cell source[k]: itself,
+    # or for a row below the real axis whose negated edges are bit for bit
+    # those of row ni-1-j, that row's cell
+    row = [ni - 1 - j if (im_edges[j + 1] <= 0.0
+                          and -im_edges[j + 1] == im_edges[ni - 1 - j]
+                          and -im_edges[j] == im_edges[ni - j]) else j
+           for j in range(ni)]
+    source = [i * ni + row[j] for i in range(nr) for j in range(ni)]
+    scanned = [k for k, s in enumerate(source) if s == k]
+    wound = dict(zip(scanned, _windings([subs[k] for k in scanned], lin, p)))
+    counts = [(sub, wound[s]) for sub, s in zip(subs, source)]
+    found = _roots_in_rects([(k, subs[k], wound[k]) for k in scanned], lin, p)
+    mirror = {s: k for k, s in enumerate(source) if s != k}
+    # quadrant q mirrors to q ^ 2 (lower <-> upper), so the mirrored paths
+    # sort as the cell's own subdivision would; a real root keeps +0.0
+    found += [((mirror[path[0]],) + tuple(q ^ 2 for q in path[1:]),
+               z.conjugate() if z.imag != 0.0 else z)
+              for path, z in found if path[0] in mirror]
+    found.sort(key=lambda item: item[0])
     polished: list[complex] = []
     residuals: list[float] = []
-    for z in roots:
+    for _, z in found:
         res = abs(eval_Q(z, lin, p))
         if res > ROOT_RESIDUAL_TOL:
             continue

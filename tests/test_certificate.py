@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,15 @@ class TestBuildCertificate:
         text = case2_cert.report()
         for name in ("sigma", "epsilon", "q", "h33", "m1", "m2"):
             assert f"{name} = " in text
+
+    def test_report_states_cond_H(self, case2_cert):
+        # sigma's relative accuracy is about cond(H) * 2**-52
+        def cond_H(cert):
+            text = cert.report()
+            return float(re.search(r"^cond_H = (\S+)$", text, re.M).group(1))
+
+        assert cond_H(build_certificate(_near_boundary_params(247))) > 1e12
+        assert 1.0 < cond_H(case2_cert) < 10.0
 
     def test_option_validation(self, case2_params):
         with pytest.raises(DomainError):

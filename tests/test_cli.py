@@ -343,7 +343,21 @@ class TestSweep:
         assert len(rows) == 4
         assert "DelayDependent" in rows[1]
         assert "AsymptoticallyStable" in rows[2]
-        assert "inapplicable" in rows[3]
+        # the plankton-only point is gone, and with it the preset history
+        assert rows[3].startswith("5,error: invalid history: plankton-only "
+                                  "point requires d1 <= e1*c1*K")
+        assert rows[3].endswith(f",,,,,,,{EXIT_INPUT}")
+
+    def test_inapplicable_row_keeps_its_verdict(self, tmp_path):
+        tree = {"params": CASE2,
+                "history": {"preset": "constant", "values": [0.5, 0.2, 0.1]},
+                "horizon": 3.0,
+                "outputs": {"dir": str(tmp_path / "out")}}
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        _, summary = sweep(cfg, "params.d1", [5.0])
+        assert _data_rows(summary) == [
+            ["5", "inapplicable", "", "", "", "", "", "",
+             str(EXIT_INADMISSIBLE)]]
 
     def test_unknown_key_recorded_as_row_error(self, tmp_path):
         tree = {"params": CASE2, "outputs": {"dir": str(tmp_path / "out")}}
@@ -397,6 +411,13 @@ class TestSweep:
         assert code == EXIT_OK
         rows = _data_rows(tmp_path / "sw" / "sweep_summary.csv")
         assert [row[8] for row in rows] == [str(EXIT_OK), str(EXIT_INPUT)]
+        # the verdict was reached, but the row names the error
+        step = default_step(derive_params(**CASE2), 20)
+        assert rows[1][:2] == [
+            "1.0000000000000001e+300",
+            f"error: {1e300 / step:.6g} steps of size {step:g} cannot be "
+            f"stored ({rows[1][1].split(' (', 1)[1]}"]
+        assert rows[1][2:8] == [""] * 6
 
     def test_short_horizon_recorded_as_row_error(self, small_config,
                                                  tmp_path):
@@ -412,7 +433,8 @@ class TestSweep:
 
 
 def _reference_row(scenario, value, code):
-    """Summary row rebuilt from scratch, with a second integration.
+    """Summary row rebuilt independently, with a second integration; an
+    input error anywhere gives the error row with exit code 4.
 
     What ``RunResult.summary_row`` must reproduce from the run alone.
     """
@@ -424,24 +446,35 @@ def _reference_row(scenario, value, code):
     sigma = epsilon = q = v0 = ""
     admissible = ""
     worst = ""
+    cert = theorem = None
     try:
         cert = build_certificate(p, scenario.options)
         sigma, epsilon, q = (f"{cert.sigma:.17g}", f"{cert.epsilon:.17g}",
                              f"{cert.q:.17g}")
-        hist = build_history(scenario, p)
-        ext = verify.extend_history(hist, p)
-        theorem = verify.check_initial_conditions(hist, ext, cert, p)
-        v0 = f"{theorem.V0:.17g}"
-        admissible = str(theorem.envelopes_valid)
-        if theorem.envelopes_valid:
-            traj = integrate(p, hist, scenario.horizon,
-                             step=default_step(p, scenario.step_divisor))
-            env = verify.check_envelope(traj, cert, theorem)
-            worst = f"{min(env.worst_margin):.17g}"
-    except (CertificateError, DomainError, ConfigError, IntegrationError):
+    except (CertificateError, DomainError):
         pass
+    try:
+        hist = build_history(scenario, p)
+        if cert is not None:
+            ext = verify.extend_history(hist, p)
+            theorem = verify.check_initial_conditions(hist, ext, cert, p)
+            v0 = f"{theorem.V0:.17g}"
+            admissible = str(theorem.envelopes_valid)
+        traj = integrate(p, hist, scenario.horizon,
+                         step=default_step(p, scenario.step_divisor))
+    except (ConfigError, DomainError, IntegrationError) as exc:
+        # an input error after the verdict is an error row all the same
+        return _reference_error_row(value, exc)
+    if theorem is not None and theorem.envelopes_valid:
+        env = verify.check_envelope(traj, cert, theorem)
+        worst = f"{min(env.worst_margin):.17g}"
     return [f"{float(value):.17g}", verdict, sigma, epsilon, q, v0,
             admissible, worst, str(code)]
+
+
+def _reference_error_row(value, exc):
+    return [f"{float(value):.17g}", f"error: {exc}",
+            "", "", "", "", "", "", str(EXIT_INPUT)]
 
 
 def _reference_summary(config, key, values, out):
@@ -458,8 +491,7 @@ def _reference_summary(config, key, values, out):
                 code = run_loaded_scenario(scenario, out / f"ref_{i}").code
                 row = _reference_row(scenario, value, code)
             except (ConfigError, ParameterError, DomainError) as exc:
-                row = [f"{float(value):.17g}", f"error: {exc}",
-                       "", "", "", "", "", "", str(EXIT_INPUT)]
+                row = _reference_error_row(value, exc)
             writer.writerow(row)
     return path.read_bytes()
 
@@ -487,13 +519,14 @@ class TestSweepSummaryRows:
         monkeypatch.setattr(scenario_mod, "integrate", counting)
         return calls
 
-    # d1: admissible, DelayDependent, inapplicable, derive_params error;
-    # offsets.0: admissible, inadmissible, integration failure
+    # d1: admissible, DelayDependent, inapplicable (its preset history
+    # fails), derive_params error; offsets.0: admissible, inadmissible,
+    # integration failure
     @pytest.mark.parametrize("key, values, verdicts", [
         ("params.d1", [1.5, 0.5, 5.0, -1.0],
-         ["AsymptoticallyStable", "DelayDependent", "inapplicable", "error"]),
+         ["AsymptoticallyStable", "DelayDependent", "error", "error"]),
         ("history.offsets.0", [1e-5, 5.0, 1e200],
-         ["AsymptoticallyStable"] * 3),
+         ["AsymptoticallyStable"] * 2 + ["error"]),
     ])
     def test_rows_match_reference(self, config, tmp_path, key, values,
                                   verdicts):

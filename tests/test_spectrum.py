@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +254,12 @@ def _parity_cases():
          {"region": (-6.0, 2.0, -30.0, 40.0)}),
         ("region_on_real_axis", p2, {"region": (-4.0, 1.0, 0.0, 25.0)}),
         ("grid_12x10", random_stable_params(rng), {"grid": (12, 10)}),
+        # rows 0-3 mirror rows 8-5 bit for bit; row 4 straddles the axis
+        ("mirror_odd_rows", p2,
+         {"region": (-15.0, 1.0, -45.0, 45.0), "grid": (8, 9)}),
+        # symmetric region, but of the rows below the axis only row 0's
+        # linspace edges are the exact negatives of its mirror's
+        ("inexact_mirror", p2, {"grid": (8, 9)}),
     ]
     return [pytest.param(p, kwargs, id=name) for name, p, kwargs in cases]
 
@@ -363,6 +371,71 @@ class TestRootScanParity:
         assert all(rows * n <= spectrum.WINDING_CHUNK * 64
                    for rows, n in shapes), shapes
         assert len(shapes) <= max_calls, shapes
+
+
+class TestMirrorRule:
+    # README set, default region (-15, 1, -50, 50) unless given
+    @pytest.mark.parametrize("region, grid, scanned, below", [
+        (None, (8, 8), 32, 0),
+        ((-15.0, 1.0, -45.0, 45.0), (8, 9), 40, 8),
+        (None, (8, 9), 64, 32)])
+    def test_first_sampling_skips_mirrored_cells(self, case2_lin, monkeypatch,
+                                                 region, grid, scanned, below):
+        lin, p = case2_lin
+        samplings = []
+        phase_counts = spectrum._phase_counts
+
+        def recording(rects, n, lin, p):
+            samplings.append(np.array(rects))
+            return phase_counts(rects, n, lin, p)
+
+        monkeypatch.setattr(spectrum, "_phase_counts", recording)
+        report = root_scan(lin, p, region=region, grid=grid)
+        first = samplings[0]
+        assert len(first) == scanned
+        assert int((first[:, 2] < 0.0).sum()) == below
+        assert len(report.counts) == grid[0] * grid[1]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counts_and_roots_are_mirror_images(self, seed):
+        rng = np.random.default_rng(80 + seed)
+        p = (random_unstable_params(rng) if seed == 2
+             else random_stable_params(rng))
+        lin = linearize(p)
+        report = root_scan(lin, p)
+        ni = 8
+        for k, ((re0, re1, im0, im1), count) in enumerate(report.counts):
+            i, j = divmod(k, ni)
+            mirror, mirror_count = report.counts[i * ni + ni - 1 - j]
+            assert mirror == (re0, re1, -im1, -im0)
+            assert count == mirror_count
+        # a real root may carry a tiny imaginary part; its conjugate is then
+        # a duplicate within 1e-6 and dropped
+        complex_roots = [z for z in report.roots if abs(z.imag) > 1e-8]
+        assert complex_roots
+        for z in complex_roots:
+            assert z.conjugate() in report.roots
+        # a root with imaginary part exactly 0 prints as +0j, as unmirrored
+        assert all(math.copysign(1.0, z.imag) == 1.0
+                   for z in report.roots if z.imag == 0.0)
+
+
+def test_benchmark_pool_root_counts():
+    # the spectrum_certify pool of perfbench/reference.json, under the
+    # rules of perfbench/run.py's compare: n_roots exact, rightmost to 1e-6
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    pool = json.loads(path.read_text())["spectrum_certify"]["pool"]
+    assert len(pool) == 288
+    bad = []
+    for k, item in enumerate(pool):
+        p = derive_params(**item["params"])
+        report = root_scan(linearize(p), p)
+        got = (len(report.roots), report.rightmost_real_part)
+        n_roots, ref = item["expected"]["n_roots"], item["expected"]["rightmost"]
+        if got[0] != n_roots or (got[1] != -math.inf if ref is None else
+                                 abs(got[1] - ref) > 1e-6 * abs(ref)):
+            bad.append((k, got, (n_roots, ref)))
+    assert not bad, bad
 
 
 def _fish_factor_roots(p, lin):
