@@ -281,15 +281,14 @@ def _block_matrix(A, B1, B2, H, K1_0, K2_0, K1_tau, K2_tau) -> np.ndarray:
     return 0.5 * (C + C.T)
 
 
-def assemble_C(cert: LKCertificate,
-               lin: LinearizedSystem | None = None) -> BlockMatrixReport:
+def assemble_C(cert: LKCertificate) -> BlockMatrixReport:
     """The 9x9 block matrix whose definiteness certifies decay.
 
     Rows corresponding to coordinates that the delay kernels do not act on
     are identically zero, so the PD verdict and the smallest eigenvalue
     refer to the supported subspace.
     """
-    lin = lin or cert.lin
+    lin = cert.lin
     p = cert.params
     C = _block_matrix(lin.A, lin.B1, lin.B2, cert.H,
                       eval_K(cert, 1, 0.0), eval_K(cert, 2, 0.0),

@@ -16,13 +16,14 @@ import numpy as np
 
 from .certificate import LKCertificate, kernel_base
 from .errors import DomainError
-from .model import ModelParams
+from .model import ModelParams, rhs
 from .simulate import History, Trajectory
 
 V_QUAD_SUBINTERVALS = 128  # per delay window; spec floor is 64
 ENVELOPE_BASE_TOL = 1e-6
-DIFF_INEQ_TOL = 1e-5
+DIFF_INEQ_RTOL = 1e-4  # relative to eps V + |dV/dt|
 V_CHUNK = 32  # times per batched lookup in eval_V_many; bounds its memory
+CHECK_TIMES = 200  # trajectory checks sample t_end/200, ..., t_end
 
 
 class ExtendedHistory:
@@ -97,6 +98,8 @@ class EnvelopeReport:
 class DiffIneqReport:
     passed: bool
     worst_slack: float
+    floor: float  # rounding floor F of the tolerance
+    observed_decay_ratio: float  # min of -dV/dt / (eps V) where eps V > F
     times: np.ndarray = field(repr=False, default=None)
 
 
@@ -114,39 +117,48 @@ def _quadratic_forms(values: np.ndarray, base: np.ndarray) -> np.ndarray:
 
 def _functional(lookup, cert: LKCertificate, ts: np.ndarray,
                 subintervals: int) -> np.ndarray:
-    """Lyapunov-Krasovskii functional at each time of ``ts``.
+    """Lyapunov-Krasovskii functional V and its rate, rows (V, dV/dt) over ``ts``.
 
     ``lookup`` maps an array of times s to the rows u(s) of the deviation
     from the plankton-only point.  V(t) is u(t)^T H u(t) plus, per delay,
-    the Simpson sum of exp(-m_i (t - s)) u(s)^T base_i u(s) over
+    the Simpson sum I_i of exp(-m_i (t - s)) u(s)^T base_i u(s) over
     [t - tau_i, t].  The times are taken ``V_CHUNK`` at a time, and all
     of a chunk's points go through one ``lookup`` call.  The quadratic
     form at t and each window's Simpson sum are then taken per time, with
     the same operations as a single time, so V does not depend on the
-    batching.
+    batching.  The rate of these sums is exact: dV/dt = 2 u^T H u' + sum_i
+    [integrand_i(t) - integrand_i(t - tau_i) - m_i I_i], u' being ``rhs`` at
+    u(t) and the first nodes u(t - tau_i), plus the shift.
     """
     if subintervals < 64 or subintervals % 2:
         raise DomainError("subintervals must be an even number >= 64")
     p = cert.params
+    shift = np.array([cert.x0, cert.y0, 0.0])
     windows = [(tau, m, kernel_base(cert, which),
                 _simpson_weights(subintervals, tau / subintervals))
                for which, tau, m in ((1, p.tau1, cert.m1),
                                      (2, p.tau2, cert.m2))]
-    out = np.empty(ts.size)
+    out = np.empty((2, ts.size))
     # a huge initial offset overflows to V = inf: inadmissible, not an error
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, ts.size, V_CHUNK):
             t = ts[lo:lo + V_CHUNK]
             nodes = [np.linspace(t - tau, t, subintervals + 1, axis=1)
                      for tau, _, _, _ in windows]
             vals = lookup(np.concatenate([t] + [n.ravel() for n in nodes]))
-            total = np.array([float(v @ cert.H @ v) for v in vals[:t.size]])
+            u = vals[:t.size]
+            total = np.array([float(v @ cert.H @ v) for v in u])
             per_window = vals[t.size:].reshape(len(windows), -1, 3)
+            first = [(v[::subintervals + 1] + shift).T for v in per_window]
+            du = np.column_stack(rhs((u + shift).T, *first, p))
+            rate = 2.0 * np.einsum("ij,jk,ik->i", u, cert.H, du)
             for (_, m, base, w), n, v in zip(windows, nodes, per_window):
                 integrand = (np.exp(-m * (t[:, None] - n))
                              * _quadratic_forms(v, base).reshape(n.shape))
-                total += [float(w @ row) for row in integrand]
-            out[lo:lo + t.size] = total
+                sums = np.array([float(w @ row) for row in integrand])
+                total += sums
+                rate += integrand[:, -1] - integrand[:, 0] - m * sums
+            out[:, lo:lo + t.size] = total, rate
     return out
 
 
@@ -154,7 +166,7 @@ def eval_V0(ext: ExtendedHistory, cert: LKCertificate,
             subintervals: int = V_QUAD_SUBINTERVALS) -> float:
     """Functional value at t = 0 on the extended history."""
     return float(_functional(ext.eval_many, cert, np.zeros(1),
-                             subintervals)[0])
+                             subintervals)[0][0])
 
 
 def condition_rhs(cert: LKCertificate) -> dict[str, float]:
@@ -226,30 +238,22 @@ def gronwall_bound(cert: LKCertificate, V0: float, t: float) -> float:
     return V0 * math.exp(-cert.epsilon * t) / denom ** 2
 
 
-def eval_V_many(traj: Trajectory, cert: LKCertificate, p: ModelParams,
-                ts, subintervals: int = V_QUAD_SUBINTERVALS) -> np.ndarray:
-    """Functional value along the trajectory at each time of ``ts`` in [0, t_end].
-
-    Points s < 0 are read from the extended history, the others from the
-    dense output, one call each per chunk of times (see ``_functional``).
-    """
+def _along(traj: Trajectory, cert: LKCertificate, ts,
+           subintervals: int = V_QUAD_SUBINTERVALS) -> np.ndarray:
+    """Rows (V, dV/dt) along the trajectory at each time of ``ts`` in [0, t_end]."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     outside = (ts < 0.0) | (ts > traj.t_end * (1.0 + 1e-12))
     if outside.any():
         raise DomainError(f"t = {float(ts[outside][0])!r} "
                           f"outside [0, {traj.t_end}]")
-    ext = extend_history(traj.history, p)
-    shift = np.array([cert.x0, cert.y0, 0.0])
+    return _functional(lambda s: traj.sample_many(s) - (cert.x0, cert.y0, 0.0),
+                       cert, ts, subintervals)
 
-    def lookup(s):
-        vals = np.empty((s.size, 3))
-        neg = s < 0.0
-        if neg.any():
-            vals[neg] = ext.eval_many(s[neg])
-        vals[~neg] = traj.sample_many(s[~neg]) - shift
-        return vals
 
-    return _functional(lookup, cert, ts, subintervals)
+def eval_V_many(traj: Trajectory, cert: LKCertificate, p: ModelParams,
+                ts, subintervals: int = V_QUAD_SUBINTERVALS) -> np.ndarray:
+    """Functional value along the trajectory at each time of ``ts`` in [0, t_end]."""
+    return _along(traj, cert, ts, subintervals)[0]
 
 
 def solver_error_estimate(traj: Trajectory) -> float:
@@ -258,8 +262,8 @@ def solver_error_estimate(traj: Trajectory) -> float:
     return traj.step ** 4 * scale
 
 
-def default_sampling(traj: Trajectory, count: int = 200) -> np.ndarray:
-    return np.linspace(traj.t_end / count, traj.t_end, count)
+def default_sampling(traj: Trajectory) -> np.ndarray:
+    return np.linspace(traj.t_end / CHECK_TIMES, traj.t_end, CHECK_TIMES)
 
 
 def check_envelope(traj: Trajectory, cert: LKCertificate,
@@ -284,30 +288,27 @@ def check_differential_inequality(traj: Trajectory, cert: LKCertificate,
                                   p: ModelParams,
                                   sampling: np.ndarray | None = None
                                   ) -> DiffIneqReport:
-    """Finite-difference check of dV/dt <= -eps*V + q*V^{3/2}.
+    """Check dV/dt <= -eps*V + q*V^{3/2} with V's exact rate (``_functional``).
 
-    The differencing step equals the solver step to avoid
-    interpolation-order artifacts.
+    The slack -eps V + q V^{3/2} + tol - dV/dt must be >= 0 at every time,
+    with tol = DIFF_INEQ_RTOL (eps V + |dV/dt|) + F, where F = 16 (2^-52
+    max|state|)^2 ||H|| (||A|| + ||B1|| + ||B2|| + m1 + m2) (spectral norms)
+    is the rate that rounding the state alone gives.
     """
-    h = traj.step
-    if sampling is None:
-        times = np.linspace(2.0 * h, traj.t_end - 2.0 * h, 100)
-    else:
-        times = np.asarray(sampling, dtype=float)
-        if (times < h).any() or (times > traj.t_end - h).any():
-            raise DomainError("sampling must be interior: [step, t_end - step]")
-    worst = math.inf
-    ok = True
-    values = eval_V_many(traj, cert, p,
-                         np.concatenate((times, times + h, times - h)))
-    for v, vp, vm in values.reshape(3, -1).T.tolist():
-        dv = (vp - vm) / (2.0 * h)
-        bound = -cert.epsilon * v + cert.q * v ** 1.5
-        slack = bound + DIFF_INEQ_TOL * (1.0 + abs(v)) - dv
-        worst = min(worst, slack)
-        if slack < 0.0:
-            ok = False
-    return DiffIneqReport(passed=ok, worst_slack=worst, times=times)
+    times = default_sampling(traj) if sampling is None else np.asarray(sampling)
+    V, dV = _along(traj, cert, times)
+    lin = cert.lin
+    norms = [np.linalg.norm(m, 2) for m in (cert.H, lin.A, lin.B1, lin.B2)]
+    floor = float(16.0 * (2.0 ** -52 * np.abs(traj.states).max()) ** 2
+                  * norms[0] * (sum(norms[1:]) + cert.m1 + cert.m2))
+    decay = cert.epsilon * V
+    slack = (-decay + cert.q * V ** 1.5
+             + DIFF_INEQ_RTOL * (decay + np.abs(dV)) + floor - dV)
+    above = decay > floor
+    ratio = float(np.min(-dV[above] / decay[above], initial=math.inf))
+    return DiffIneqReport(passed=bool((slack >= 0.0).all()),
+                          worst_slack=float(slack.min(initial=math.inf)),
+                          floor=floor, observed_decay_ratio=ratio, times=times)
 
 
 def write_verification_csv(path, traj: Trajectory, cert: LKCertificate,

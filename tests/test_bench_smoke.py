@@ -24,7 +24,12 @@ def test_benchmark_runs_and_is_correct(workload, trace):
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr[-4000:]
+    # the cause first, so that a one-line summary still names it
+    last = next((line for line in reversed(proc.stderr.splitlines())
+                 if line.strip()), "")
+    why = (f"exit code {proc.returncode}: {last}\n"
+           f"standard error tail:\n{proc.stderr[-4000:]}")
+    assert proc.returncode == 0, why
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["correct"] is True, proc.stderr[-4000:]
+    assert result["correct"] is True, why
     assert result["failed"] == 0

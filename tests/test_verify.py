@@ -10,7 +10,7 @@ from planktonfish import (DomainError, History, build_certificate,
                           eval_V_many, extend_history,
                           gronwall_bound, integrate, plankton_only_point,
                           predicted_envelope)
-from planktonfish.verify import (V_CHUNK, V_QUAD_SUBINTERVALS,
+from planktonfish.verify import (V_CHUNK, V_QUAD_SUBINTERVALS, _along,
                                  _quadratic_forms, _simpson_weights,
                                  condition_rhs, write_verification_csv)
 
@@ -362,11 +362,16 @@ class TestChecks:
         assert dineq.worst_slack >= 0.0
 
     def test_differential_inequality_interior_sampling(self, admissible):
+        # any time in [0, t_end] is valid, the end points included
         p, cert, hist, _, _ = admissible
         traj = integrate(p, hist, 2.0)
-        with pytest.raises(DomainError):
-            check_differential_inequality(traj, cert, p,
-                                          sampling=np.array([0.0]))
+        for t in (0.0, traj.t_end):
+            dineq = check_differential_inequality(traj, cert, p,
+                                                  sampling=np.array([t]))
+            assert dineq.passed
+        with pytest.raises(DomainError, match="outside"):
+            check_differential_inequality(
+                traj, cert, p, sampling=np.array([1.01 * traj.t_end]))
 
     def test_verification_csv_layout(self, admissible, tmp_path):
         p, cert, hist, report, _ = admissible
@@ -380,3 +385,65 @@ class TestChecks:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape == (5, 11)
         assert (data[:, 8:] >= -1e-6).all()
+
+
+@pytest.fixture(scope="module")
+def readme_run():
+    """The README scenario: CASE2 rates, small constant offsets, horizon 50."""
+    p = derive_params(r=1.0, K=1.0, c1=1.0, c2=1.0, d1=1.5, d2=1.0,
+                      b1=3.0, b2=1.0, tau1=0.1, tau2=0.1)
+    hist = History.equilibrium_plus_constant(p, (1e-5, 5e-6, 1e-5))
+    return p, build_certificate(p), integrate(p, hist, 50.0)
+
+
+class TestExactRate:
+    @pytest.mark.parametrize("taus, kind", [((0.1, 0.1), "constant"),
+                                            ((0.05, 0.3), "sine"),
+                                            ((0.3, 0.05), "sine")])
+    def test_matches_central_difference(self, taus, kind):
+        p = derive_params(r=1, K=1, c1=1, c2=1, d1=1.5, d2=1, b1=3, b2=1,
+                          tau1=taus[0], tau2=taus[1])
+        cert = build_certificate(p)
+        if kind == "sine":
+            hist = History.equilibrium_plus_sine(p, (2e-3, 1e-3, 0.0), 7.0)
+        else:
+            hist = History.equilibrium_plus_constant(p, (2e-3, 1e-3, 1e-3))
+        traj = integrate(p, hist, 2.1)
+        h = traj.step
+        # V is smooth away from the breaking points, the multiples of a delay
+        ts = np.linspace(0.31, 2.0, 60)
+        ts = ts[np.all([np.abs(ts - np.round(ts / tau) * tau) >= 4.0 * h
+                        for tau in taus], axis=0)]
+        assert ts.size >= 40
+        V, dV = _along(traj, cert, ts, 512)
+        fd = (eval_V_many(traj, cert, p, ts + h, 512)
+              - eval_V_many(traj, cert, p, ts - h, 512)) / (2.0 * h)
+        assert (dV < 0.0).all()
+        assert (np.abs(dV - fd) <= 1e-4 * np.abs(fd)).all()
+        assert V.tolist() == eval_V_many(traj, cert, p, ts, 512).tolist()
+
+    # the README run decays at 13 eps V or faster
+    @pytest.mark.parametrize("factor, passed", [(2.0, True), (20.0, False)])
+    def test_scaled_epsilon(self, readme_run, factor, passed):
+        p, cert, traj = readme_run
+        scaled = dataclasses.replace(cert, epsilon=factor * cert.epsilon)
+        dineq = check_differential_inequality(traj, scaled, p)
+        assert dineq.passed is passed
+        assert (dineq.worst_slack >= 0.0) is passed
+
+    def test_rounding_floor_is_far_below_decay(self, readme_run):
+        p, cert, traj = readme_run
+        dineq = check_differential_inequality(traj, cert, p)
+        decay = cert.epsilon * eval_V_many(traj, cert, p, dineq.times)
+        assert 0.0 < dineq.floor < 1e-6 * decay.min()
+        assert dineq.passed
+        assert 1.0 < dineq.observed_decay_ratio < math.inf
+
+    @pytest.mark.parametrize("horizon", [0.001, 5.0])
+    def test_equilibrium_start(self, case2_params, case2_cert, horizon):
+        # V and its rate are rounding noise; the floor absorbs them
+        hist = History.equilibrium_plus_constant(case2_params, (0.0, 0.0, 0.0))
+        traj = integrate(case2_params, hist, horizon)
+        dineq = check_differential_inequality(traj, case2_cert, case2_params)
+        assert dineq.passed
+        assert dineq.observed_decay_ratio == math.inf
