@@ -15,7 +15,7 @@ from .spectrum import (RootReport, StabilityVerdict, eval_Q, eval_factors,
 from .symmat import is_positive_definite
 from .verify import (ExtendedHistory, TheoremReport, check_differential_inequality,
                      check_envelope, check_initial_conditions, eval_V0,
-                     eval_V_many, extend_history, gronwall_bound,
+                     eval_V_along, extend_history, gronwall_bound,
                      predicted_envelope)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -91,7 +91,7 @@ def self_check(verbose: bool = True) -> bool:
     if ok:
         traj = integrate(p, hist, 20.0)
         ok &= verify.check_envelope(traj, cert, theorem).passed
-        ok &= verify.check_differential_inequality(traj, cert, p).passed
+        ok &= verify.check_differential_inequality(traj, cert).passed
     record("admissible scenario envelopes and inequality", ok)
 
     return all(results)

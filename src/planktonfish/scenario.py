@@ -331,7 +331,7 @@ def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
         return finish(EXIT_INADMISSIBLE)
 
     env = result.envelope = verify.check_envelope(traj, cert, theorem)
-    dineq = verify.check_differential_inequality(traj, cert, p)
+    dineq = verify.check_differential_inequality(traj, cert)
     report_lines.append(f"envelope check: {'PASS' if env.passed else 'FAIL'} "
                         f"(worst margins "
                         + "  ".join(f"{m:.17g}" for m in env.worst_margin)
@@ -343,7 +343,7 @@ def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
     emit("report", "report.txt", "\n".join(report_lines) + "\n")
     if "verification" in scenario.files:
         path = out / "verification.csv"
-        verify.write_verification_csv(path, traj, cert, theorem, p)
+        verify.write_verification_csv(path, cert, env, dineq)
         result.files["verification"] = path
 
     if not (positivity.passed and env.passed and dineq.passed):

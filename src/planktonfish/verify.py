@@ -22,7 +22,7 @@ from .simulate import History, Trajectory
 V_QUAD_SUBINTERVALS = 128  # per delay window; spec floor is 64
 ENVELOPE_BASE_TOL = 1e-6
 DIFF_INEQ_RTOL = 1e-4  # relative to eps V + |dV/dt|
-V_CHUNK = 32  # times per batched lookup in eval_V_many; bounds its memory
+V_CHUNK = 32  # times per batched lookup in _functional; bounds its memory
 CHECK_TIMES = 200  # trajectory checks sample t_end/200, ..., t_end
 
 
@@ -92,6 +92,8 @@ class EnvelopeReport:
     worst_margin: tuple[float, float, float]
     tolerance: float
     times: np.ndarray = field(repr=False, default=None)
+    states: np.ndarray = field(repr=False, default=None)  # rows (x, y, z)
+    bounds: np.ndarray = field(repr=False, default=None)  # predicted_envelope
 
 
 @dataclass
@@ -101,6 +103,8 @@ class DiffIneqReport:
     floor: float  # rounding floor F of the tolerance
     observed_decay_ratio: float  # min of -dV/dt / (eps V) where eps V > F
     times: np.ndarray = field(repr=False, default=None)
+    V: np.ndarray = field(repr=False, default=None)
+    dV: np.ndarray = field(repr=False, default=None)
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
@@ -185,6 +189,11 @@ def condition_rhs(cert: LKCertificate) -> dict[str, float]:
     }
 
 
+def _attraction_denominator(cert: LKCertificate, sqrt_v0: float) -> float:
+    """1 - (q/eps) sqrt(V0): positive exactly inside the attraction set."""
+    return 1.0 - (cert.q / cert.epsilon) * sqrt_v0
+
+
 def check_initial_conditions(hist: History, ext: ExtendedHistory,
                              cert: LKCertificate,
                              p: ModelParams) -> TheoremReport:
@@ -199,16 +208,11 @@ def check_initial_conditions(hist: History, ext: ExtendedHistory,
         "46": ConditionResult(dev2, rhs["46"], dev2 <= rhs["46"]),
         "47": ConditionResult(sqrt_v0, rhs["47"], sqrt_v0 < rhs["47"]),
     }
-    denom = 1.0 - (cert.q / cert.epsilon) * sqrt_v0
-    if denom > 0.0:
-        deflated = sqrt_v0 / denom
-        conditions["48"] = ConditionResult(deflated, rhs["48"],
-                                           deflated <= rhs["48"])
-        conditions["49"] = ConditionResult(deflated, rhs["49"],
-                                           deflated <= rhs["49"])
-    else:
-        conditions["48"] = ConditionResult(math.inf, rhs["48"], False)
-        conditions["49"] = ConditionResult(math.inf, rhs["49"], False)
+    denom = _attraction_denominator(cert, sqrt_v0)
+    deflated = sqrt_v0 / denom if denom > 0.0 else math.inf
+    for name in ("48", "49"):
+        conditions[name] = ConditionResult(
+            deflated, rhs[name], denom > 0.0 and deflated <= rhs[name])
     return TheoremReport(V0=V0, conditions=conditions)
 
 
@@ -218,7 +222,7 @@ def predicted_envelope(cert: LKCertificate, V0: float,
     if V0 == 0.0:
         return (0.0, 0.0, 0.0)
     sqrt_v0 = math.sqrt(V0)
-    denom = 1.0 - (cert.q / cert.epsilon) * sqrt_v0
+    denom = _attraction_denominator(cert, sqrt_v0)
     if denom <= 0.0:
         raise DomainError("envelope undefined: sqrt(V0) >= epsilon/q")
     d = sqrt_v0 * math.exp(-cert.epsilon * t / 2.0) / denom
@@ -232,14 +236,14 @@ def gronwall_bound(cert: LKCertificate, V0: float, t: float) -> float:
     """Explicit decay bound on V(t) implied by the differential inequality."""
     if V0 == 0.0:
         return 0.0
-    denom = 1.0 - (cert.q / cert.epsilon) * math.sqrt(V0)
+    denom = _attraction_denominator(cert, math.sqrt(V0))
     if denom <= 0.0:
         raise DomainError("bound undefined: sqrt(V0) >= epsilon/q")
     return V0 * math.exp(-cert.epsilon * t) / denom ** 2
 
 
-def _along(traj: Trajectory, cert: LKCertificate, ts,
-           subintervals: int = V_QUAD_SUBINTERVALS) -> np.ndarray:
+def eval_V_along(traj: Trajectory, cert: LKCertificate, ts,
+                 subintervals: int = V_QUAD_SUBINTERVALS) -> np.ndarray:
     """Rows (V, dV/dt) along the trajectory at each time of ``ts`` in [0, t_end]."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     outside = (ts < 0.0) | (ts > traj.t_end * (1.0 + 1e-12))
@@ -248,12 +252,6 @@ def _along(traj: Trajectory, cert: LKCertificate, ts,
                           f"outside [0, {traj.t_end}]")
     return _functional(lambda s: traj.sample_many(s) - (cert.x0, cert.y0, 0.0),
                        cert, ts, subintervals)
-
-
-def eval_V_many(traj: Trajectory, cert: LKCertificate, p: ModelParams,
-                ts, subintervals: int = V_QUAD_SUBINTERVALS) -> np.ndarray:
-    """Functional value along the trajectory at each time of ``ts`` in [0, t_end]."""
-    return _along(traj, cert, ts, subintervals)[0]
 
 
 def solver_error_estimate(traj: Trajectory) -> float:
@@ -267,36 +265,37 @@ def default_sampling(traj: Trajectory) -> np.ndarray:
 
 
 def check_envelope(traj: Trajectory, cert: LKCertificate,
-                   report: TheoremReport,
-                   sampling: np.ndarray | None = None) -> EnvelopeReport:
-    """Compare |x-x0|, |y-y0|, |z| against the predicted envelopes."""
+                   report: TheoremReport) -> EnvelopeReport:
+    """Compare |x-x0|, |y-y0|, |z| against the predicted envelopes.
+
+    The report keeps the states and bounds at the check times.
+    """
     if not report.envelopes_valid:
         raise DomainError("envelope check requires an admissible report")
-    times = default_sampling(traj) if sampling is None else np.asarray(sampling)
+    times = default_sampling(traj)
     tol = ENVELOPE_BASE_TOL + 10.0 * solver_error_estimate(traj)
-    shift = np.array([cert.x0, cert.y0, 0.0])
-    devs = np.abs(traj.sample_many(times) - shift)
+    states = traj.sample_many(times)
     bounds = np.array([predicted_envelope(cert, report.V0, float(t))
                        for t in times])
-    margins = bounds + tol - devs
+    margins = bounds + tol - np.abs(states - (cert.x0, cert.y0, 0.0))
     worst = tuple(float(m) for m in margins.min(axis=0))
     return EnvelopeReport(passed=bool((margins >= 0.0).all()),
-                          worst_margin=worst, tolerance=tol, times=times)
+                          worst_margin=worst, tolerance=tol, times=times,
+                          states=states, bounds=bounds)
 
 
-def check_differential_inequality(traj: Trajectory, cert: LKCertificate,
-                                  p: ModelParams,
-                                  sampling: np.ndarray | None = None
-                                  ) -> DiffIneqReport:
-    """Check dV/dt <= -eps*V + q*V^{3/2} with V's exact rate (``_functional``).
+def check_differential_inequality(traj: Trajectory,
+                                  cert: LKCertificate) -> DiffIneqReport:
+    """Check dV/dt <= -eps*V + q*V^{3/2} with V's exact rate (``eval_V_along``).
 
     The slack -eps V + q V^{3/2} + tol - dV/dt must be >= 0 at every time,
     with tol = DIFF_INEQ_RTOL (eps V + |dV/dt|) + F, where F = 16 (2^-52
     max|state|)^2 ||H|| (||A|| + ||B1|| + ||B2|| + m1 + m2) (spectral norms)
-    is the rate that rounding the state alone gives.
+    is the rate that rounding the state alone gives.  The report keeps V and
+    dV/dt at the check times.
     """
-    times = default_sampling(traj) if sampling is None else np.asarray(sampling)
-    V, dV = _along(traj, cert, times)
+    times = default_sampling(traj)
+    V, dV = eval_V_along(traj, cert, times)
     lin = cert.lin
     norms = [np.linalg.norm(m, 2) for m in (cert.H, lin.A, lin.B1, lin.B2)]
     floor = float(16.0 * (2.0 ** -52 * np.abs(traj.states).max()) ** 2
@@ -308,25 +307,22 @@ def check_differential_inequality(traj: Trajectory, cert: LKCertificate,
     ratio = float(np.min(-dV[above] / decay[above], initial=math.inf))
     return DiffIneqReport(passed=bool((slack >= 0.0).all()),
                           worst_slack=float(slack.min(initial=math.inf)),
-                          floor=floor, observed_decay_ratio=ratio, times=times)
+                          floor=floor, observed_decay_ratio=ratio, times=times,
+                          V=V, dV=dV)
 
 
-def write_verification_csv(path, traj: Trajectory, cert: LKCertificate,
-                           report: TheoremReport,
-                           p: ModelParams,
-                           times: np.ndarray | None = None):
-    """CSV with state, functional value, envelopes, and margins."""
-    times = default_sampling(traj) if times is None else np.asarray(times)
-    shift = (cert.x0, cert.y0, 0.0)
-    states = traj.sample_many(times).tolist()
-    values = eval_V_many(traj, cert, p, times).tolist()
+def write_verification_csv(path, cert: LKCertificate, env: EnvelopeReport,
+                           dineq: DiffIneqReport):
+    """CSV with state, functional value, envelopes, and margins.
+
+    The rows come from two reports on one trajectory; nothing is re-evaluated.
+    """
+    margins = env.bounds - np.abs(env.states - (cert.x0, cert.y0, 0.0))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "y", "z", "V",
                          "bound_x", "bound_y", "bound_z",
                          "margin_x", "margin_y", "margin_z"])
-        for t, state, v in zip(times, states, values):
-            bounds = predicted_envelope(cert, report.V0, float(t))
-            margins = [bounds[i] - abs(state[i] - shift[i]) for i in range(3)]
-            writer.writerow([f"{val:.17g}" for val in
-                             (t, *state, v, *bounds, *margins)])
+        for row in np.column_stack((env.times, env.states, dineq.V,
+                                    env.bounds, margins)).tolist():
+            writer.writerow([f"{val:.17g}" for val in row])

@@ -15,7 +15,7 @@ import pytest
 from planktonfish import (History, build_certificate, check_differential_inequality,
                           check_envelope, check_initial_conditions,
                           check_positivity_boundedness, derive_params, eval_V0,
-                          eval_V_many, extend_history, gronwall_bound,
+                          eval_V_along, extend_history, gronwall_bound,
                           integrate, linearize, rhs, root_scan)
 from planktonfish.certificate import assemble_C
 from planktonfish.model import classify_equilibria, coexistence_threshold
@@ -177,7 +177,8 @@ def test_criterion_6_envelope_reproduction(admissible_runs):
         env = check_envelope(traj, cert, theorem)
         ok &= env.passed
         ts = np.linspace(2.5, 50.0, 20)
-        for t, v in zip(ts.tolist(), eval_V_many(traj, cert, p, ts).tolist()):
+        values = eval_V_along(traj, cert, ts)[0]
+        for t, v in zip(ts.tolist(), values.tolist()):
             ok &= v <= gronwall_bound(cert, theorem.V0, t) + 1e-7
     _report("6 theorem envelope reproduction", ok)
 
@@ -185,7 +186,7 @@ def test_criterion_6_envelope_reproduction(admissible_runs):
 def test_criterion_7_differential_inequality(admissible_runs):
     ok = True
     for p, cert, hist, theorem, traj in admissible_runs:
-        dineq = check_differential_inequality(traj, cert, p)
+        dineq = check_differential_inequality(traj, cert)
         ok &= dineq.passed
     _report("7 differential inequality", ok)
 

@@ -3,7 +3,7 @@
 Runs ``perfbench/run.py`` from the repository root as the benchmark does,
 for the shortest time it allows, and requires a clean exit and a result
 line whose outputs all matched ``perfbench/reference.json``.  Together the
-three runs take about twenty seconds.
+four runs take about twenty-five seconds.
 """
 
 import json
@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("workload, trace", [("run_readme", 0),
+                                             ("run_readme", 1),
                                              ("sweep_d1", 0),
                                              ("spectrum_certify", 1)])
 def test_benchmark_runs_and_is_correct(workload, trace):

@@ -101,6 +101,29 @@ class TestRunScenario:
         cert = files["certificate"].read_text()
         assert "sigma = " in cert and "positive definite" in cert
 
+    @pytest.mark.parametrize("offsets, passes", [([1e-5, 5e-6, 1e-5], 1),
+                                                 ([0.2, 0.2, 0.2], 0)])
+    def test_one_V_pass_over_the_check_times(self, tmp_path, monkeypatch,
+                                             offsets, passes):
+        # the checks and verification.csv share V; an inadmissible run
+        # evaluates V only at t = 0
+        sizes, functional = [], verify._functional
+
+        def counting(lookup, cert, ts, subintervals):
+            sizes.append(ts.size)
+            return functional(lookup, cert, ts, subintervals)
+
+        monkeypatch.setattr(verify, "_functional", counting)
+        tree = {"params": CASE2,
+                "history": {"preset": "equilibrium_plus_constant",
+                            "offsets": offsets},
+                "horizon": 5.0}
+        scenario = load_scenario(_write_config(tmp_path / "c.yaml", tree))
+        result = run_loaded_scenario(scenario, tmp_path / "out")
+        assert result.code == (EXIT_OK if passes else EXIT_INADMISSIBLE)
+        assert sizes.count(verify.CHECK_TIMES) == passes
+        assert len(sizes) == passes + 1  # and V0
+
     def test_trajectory_csv_is_reproducible(self, small_config, tmp_path):
         _, files_a = run_scenario(small_config, out_dir=tmp_path / "a")
         _, files_b = run_scenario(small_config, out_dir=tmp_path / "b")

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -7,12 +8,13 @@ import pytest
 from planktonfish import (DomainError, History, build_certificate,
                           check_differential_inequality, check_envelope,
                           check_initial_conditions, derive_params, eval_V0,
-                          eval_V_many, extend_history,
+                          eval_V_along, extend_history,
                           gronwall_bound, integrate, plankton_only_point,
                           predicted_envelope)
-from planktonfish.verify import (V_CHUNK, V_QUAD_SUBINTERVALS, _along,
+from planktonfish.verify import (CHECK_TIMES, V_CHUNK, V_QUAD_SUBINTERVALS,
                                  _quadratic_forms, _simpson_weights,
-                                 condition_rhs, write_verification_csv)
+                                 condition_rhs, default_sampling,
+                                 write_verification_csv)
 
 from conftest import admissible_perturbation, grid_max_abs_deviation
 
@@ -230,25 +232,26 @@ class TestFunctionalAlongTrajectory:
     def test_zero_along_equilibrium(self, case2_params, case2_cert):
         hist = History.equilibrium_plus_constant(case2_params, (0.0, 0.0, 0.0))
         traj = integrate(case2_params, hist, 3.0)
-        values = eval_V_many(traj, case2_cert, case2_params, [0.0, 1.0, 3.0])
+        values = eval_V_along(traj, case2_cert, [0.0, 1.0, 3.0])[0]
         assert (np.abs(values) <= 1e-22).all()
 
     def test_matches_initial_value(self, admissible):
         p, cert, hist, report, _ = admissible
         traj = integrate(p, hist, 2.0)
-        assert eval_V_many(traj, cert, p, [0.0])[0] == report.V0
+        assert eval_V_along(traj, cert, [0.0])[0][0] == report.V0
 
     def test_domain_check(self, admissible):
         p, cert, hist, _, _ = admissible
         traj = integrate(p, hist, 1.0)
         with pytest.raises(DomainError):
-            eval_V_many(traj, cert, p, 2.0)
+            eval_V_along(traj, cert, 2.0)
 
     def test_gronwall_bound_holds(self, admissible):
         p, cert, hist, report, _ = admissible
         traj = integrate(p, hist, 20.0)
         ts = np.linspace(0.0, 20.0, 21)
-        for t, v in zip(ts.tolist(), eval_V_many(traj, cert, p, ts).tolist()):
+        values = eval_V_along(traj, cert, ts)[0]
+        for t, v in zip(ts.tolist(), values.tolist()):
             assert v <= gronwall_bound(cert, report.V0, t) + 1e-7
 
     @pytest.mark.parametrize("kind", ["sine", "tabulated"])
@@ -270,11 +273,11 @@ class TestFunctionalAlongTrajectory:
         traj = integrate(p, hist, 0.5)
         v0 = eval_V0(extend_history(hist, p), cert)
         assert v0 > 0.0
-        assert v0 == eval_V_many(traj, cert, p, [0.0])[0]
+        assert v0 == eval_V_along(traj, cert, [0.0])[0][0]
 
 
 def _reference_V(traj, cert, p, t, subintervals=V_QUAD_SUBINTERVALS):
-    """One time per call, three dense lookups: what ``eval_V_many`` batches."""
+    """One time per call, three dense lookups: what ``eval_V_along`` batches."""
     if t < 0.0 or t > traj.t_end * (1.0 + 1e-12):
         raise DomainError(f"t = {t!r} outside [0, {traj.t_end}]")
     ext = extend_history(traj.history, p)
@@ -299,6 +302,8 @@ def _reference_V(traj, cert, p, t, subintervals=V_QUAD_SUBINTERVALS):
 
 
 class TestEvalVMany:
+    """V at many times in one ``eval_V_along`` pass."""
+
     @pytest.fixture(params=["equal_delays", "unequal_delays", "sine"])
     def trajectory(self, request):
         taus = (0.1, 0.1) if request.param == "equal_delays" else (0.05, 0.3)
@@ -318,20 +323,20 @@ class TestEvalVMany:
         ts = np.concatenate(([0.0, 0.01, 0.5 * p.tau1, 0.9 * p.tau2],
                              np.linspace(0.02, traj.t_end, 2 * V_CHUNK + 5)))
         assert ts[-1] == traj.t_end
-        got = eval_V_many(traj, cert, p, ts)
+        got = eval_V_along(traj, cert, ts)[0]
         ref = np.array([_reference_V(traj, cert, p, float(t)) for t in ts])
         assert (ref > 0.0).all()
         assert (np.abs(got - ref) <= 1e-14 * ref).all()
-        assert [eval_V_many(traj, cert, p, [t])[0] for t in ts[:5]] \
+        assert [eval_V_along(traj, cert, [t])[0][0] for t in ts[:5]] \
             == got[:5].tolist()
 
     @pytest.mark.parametrize("bad", [-1e-3, 1.6])
     def test_domain_check(self, trajectory, bad):
         p, cert, traj = trajectory
         with pytest.raises(DomainError, match="outside"):
-            eval_V_many(traj, cert, p, [0.5, bad, 1.0])
+            eval_V_along(traj, cert, [0.5, bad, 1.0])
         with pytest.raises(DomainError, match="outside"):
-            eval_V_many(traj, cert, p, bad)
+            eval_V_along(traj, cert, bad)
 
 
 class TestChecks:
@@ -357,34 +362,76 @@ class TestChecks:
     def test_differential_inequality_on_admissible_scenario(self, admissible):
         p, cert, hist, _, _ = admissible
         traj = integrate(p, hist, 10.0)
-        dineq = check_differential_inequality(traj, cert, p)
+        dineq = check_differential_inequality(traj, cert)
         assert dineq.passed
         assert dineq.worst_slack >= 0.0
 
     def test_differential_inequality_interior_sampling(self, admissible):
-        # any time in [0, t_end] is valid, the end points included
+        # any time in [0, t_end] is valid, the end points included, and
+        # the check's own times end at t_end
         p, cert, hist, _, _ = admissible
         traj = integrate(p, hist, 2.0)
-        for t in (0.0, traj.t_end):
-            dineq = check_differential_inequality(traj, cert, p,
-                                                  sampling=np.array([t]))
-            assert dineq.passed
+        V, dV = eval_V_along(traj, cert, [0.0, traj.t_end])
+        assert (V > 0.0).all() and (dV < 0.0).all()
         with pytest.raises(DomainError, match="outside"):
-            check_differential_inequality(
-                traj, cert, p, sampling=np.array([1.01 * traj.t_end]))
+            eval_V_along(traj, cert, [1.01 * traj.t_end])
+        assert check_differential_inequality(traj, cert).times[-1] \
+            == traj.t_end
 
     def test_verification_csv_layout(self, admissible, tmp_path):
         p, cert, hist, report, _ = admissible
         traj = integrate(p, hist, 2.0)
         path = tmp_path / "verification.csv"
-        times = np.linspace(0.1, 2.0, 5)
-        write_verification_csv(path, traj, cert, report, p, times=times)
+        write_verification_csv(path, cert, check_envelope(traj, cert, report),
+                               check_differential_inequality(traj, cert))
         lines = path.read_text().splitlines()
         assert lines[0] == ("t,x,y,z,V,bound_x,bound_y,bound_z,"
                             "margin_x,margin_y,margin_z")
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (5, 11)
+        assert data.shape == (CHECK_TIMES, 11)
         assert (data[:, 8:] >= -1e-6).all()
+
+    @pytest.mark.parametrize("case", ["readme", "sine"])
+    def test_verification_csv_matches_reference(self, case, tmp_path):
+        # README rates and offsets at horizon 5, and tau = (0.3, 0.05) with
+        # a sine history: the rows written from the two reports are the
+        # rows that evaluating V, the states and the envelopes again gives
+        taus = (0.1, 0.1) if case == "readme" else (0.3, 0.05)
+        p = derive_params(r=1, K=1, c1=1, c2=1, d1=1.5, d2=1, b1=3, b2=1,
+                          tau1=taus[0], tau2=taus[1])
+        cert = build_certificate(p)
+        if case == "readme":
+            hist = History.equilibrium_plus_constant(p, (1e-5, 5e-6, 1e-5))
+        else:
+            hist = History.equilibrium_plus_sine(p, (1e-5, 5e-6, 0.0), 7.0)
+        report = check_initial_conditions(hist, extend_history(hist, p),
+                                          cert, p)
+        traj = integrate(p, hist, 5.0)
+        path = tmp_path / "verification.csv"
+        write_verification_csv(path, cert, check_envelope(traj, cert, report),
+                               check_differential_inequality(traj, cert))
+        ref = _reference_verification_csv(tmp_path / "reference.csv", traj,
+                                          cert, report)
+        assert path.read_bytes() == ref
+
+
+def _reference_verification_csv(path, traj, cert, report):
+    """``verification.csv`` bytes from its own lookup, V pass and envelopes."""
+    times = default_sampling(traj)
+    shift = (cert.x0, cert.y0, 0.0)
+    states = traj.sample_many(times).tolist()
+    values = eval_V_along(traj, cert, times)[0].tolist()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x", "y", "z", "V",
+                         "bound_x", "bound_y", "bound_z",
+                         "margin_x", "margin_y", "margin_z"])
+        for t, state, v in zip(times, states, values):
+            bounds = predicted_envelope(cert, report.V0, float(t))
+            margins = [bounds[i] - abs(state[i] - shift[i]) for i in range(3)]
+            writer.writerow([f"{val:.17g}" for val in
+                             (t, *state, v, *bounds, *margins)])
+    return path.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -415,26 +462,26 @@ class TestExactRate:
         ts = ts[np.all([np.abs(ts - np.round(ts / tau) * tau) >= 4.0 * h
                         for tau in taus], axis=0)]
         assert ts.size >= 40
-        V, dV = _along(traj, cert, ts, 512)
-        fd = (eval_V_many(traj, cert, p, ts + h, 512)
-              - eval_V_many(traj, cert, p, ts - h, 512)) / (2.0 * h)
+        V, dV = eval_V_along(traj, cert, ts, 512)
+        fd = (eval_V_along(traj, cert, ts + h, 512)[0]
+              - eval_V_along(traj, cert, ts - h, 512)[0]) / (2.0 * h)
         assert (dV < 0.0).all()
         assert (np.abs(dV - fd) <= 1e-4 * np.abs(fd)).all()
-        assert V.tolist() == eval_V_many(traj, cert, p, ts, 512).tolist()
+        assert V.tolist() == eval_V_along(traj, cert, ts, 512)[0].tolist()
 
     # the README run decays at 13 eps V or faster
     @pytest.mark.parametrize("factor, passed", [(2.0, True), (20.0, False)])
     def test_scaled_epsilon(self, readme_run, factor, passed):
         p, cert, traj = readme_run
         scaled = dataclasses.replace(cert, epsilon=factor * cert.epsilon)
-        dineq = check_differential_inequality(traj, scaled, p)
+        dineq = check_differential_inequality(traj, scaled)
         assert dineq.passed is passed
         assert (dineq.worst_slack >= 0.0) is passed
 
     def test_rounding_floor_is_far_below_decay(self, readme_run):
         p, cert, traj = readme_run
-        dineq = check_differential_inequality(traj, cert, p)
-        decay = cert.epsilon * eval_V_many(traj, cert, p, dineq.times)
+        dineq = check_differential_inequality(traj, cert)
+        decay = cert.epsilon * eval_V_along(traj, cert, dineq.times)[0]
         assert 0.0 < dineq.floor < 1e-6 * decay.min()
         assert dineq.passed
         assert 1.0 < dineq.observed_decay_ratio < math.inf
@@ -444,6 +491,6 @@ class TestExactRate:
         # V and its rate are rounding noise; the floor absorbs them
         hist = History.equilibrium_plus_constant(case2_params, (0.0, 0.0, 0.0))
         traj = integrate(case2_params, hist, horizon)
-        dineq = check_differential_inequality(traj, case2_cert, case2_params)
+        dineq = check_differential_inequality(traj, case2_cert)
         assert dineq.passed
         assert dineq.observed_decay_ratio == math.inf
