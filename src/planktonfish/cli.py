@@ -22,15 +22,14 @@ from .simulate import History, integrate
 from .spectrum import eval_Q, eval_factors, lemma_classify, root_scan
 
 
-def self_check(verbose: bool = True) -> bool:
+def self_check() -> bool:
     """Reduced built-in acceptance run; prints one line per check."""
     rng = np.random.default_rng(20240817)
     results = []
 
     def record(name, ok):
         results.append(ok)
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}")
 
     # equilibria zero the right-hand side
     ok = True

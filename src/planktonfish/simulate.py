@@ -21,7 +21,6 @@ from .errors import DomainError, IntegrationError
 from .model import ModelParams, plankton_only_point
 
 POSITIVITY_TOL = 1e-9
-_GRID = 257  # validation points per history component window
 _CSV_CHUNK = 4096  # trajectory rows formatted per write
 
 
@@ -30,56 +29,34 @@ class History:
 
     Built through one of the preset constructors or ``tabulated``.  Each
     gives one array function, thetas -> rows (phi, psi, eta) on
-    [-tau_max, 0], and the sup of a component's deviation over a window:
-    in closed form, or at the thetas where the component can peak (the
-    window endpoints plus the interior extrema of its own formula).
-    The per-component windows [-tau1, 0], [-tau_max, 0], [-tau2, 0] are
-    kept for the verification maxima.  Components must be non-negative
-    and phi(0) must be positive.
+    [-tau_max, 0], and the exact range of a component over a window (see
+    :meth:`component_range`); the constant presets are the sine formula
+    at zero frequency.  On the per-component windows [-tau1, 0],
+    [-tau_max, 0], [-tau2, 0] the components must be finite and
+    non-negative, and phi(0) must be positive.
     """
 
-    def __init__(self, p: ModelParams, rows, sup):
+    def __init__(self, p: ModelParams, rows, component_range):
         self.p = p
         self._rows = rows  # thetas (m,) in [-tau_max, 0] -> values (m, 3)
-        # (history, i, a, b, center) -> sup of |component_i - center| on [a, b]
-        self._sup = sup
+        # (history, i, a, b) -> (min, max) of component_i on [a, b]
+        self._range = component_range
         self.windows = ((-p.tau1, 0.0), (-p.tau_max, 0.0), (-p.tau2, 0.0))
         self._validate()
 
     # -- preset constructors -------------------------------------------------
 
     @classmethod
-    def _constant(cls, p: ModelParams, values) -> "History":
-        # a constant component takes its sup anywhere, so one candidate will do
-        return cls(p, lambda ts: np.full((ts.size, 3), values),
-                   lambda hist, i, a, b, center: hist._sup_at(i, [a], center))
+    def _analytic(cls, p: ModelParams, eq, amp, w: float,
+                  ph: float) -> "History":
+        # eq + amp * sin(w theta + ph); w = 0, ph = pi/2 is a constant
+        ax, ay, az = (float(v) for v in amp)
+        eq, amp = np.array(eq), np.array([ax, ay, az])
 
-    @classmethod
-    def constant(cls, p: ModelParams, values) -> "History":
-        vx, vy, vz = (float(v) for v in values)
-        return cls._constant(p, (vx, vy, vz))
-
-    @classmethod
-    def equilibrium_plus_constant(cls, p: ModelParams, offsets) -> "History":
-        x0, y0 = plankton_only_point(p)
-        ox, oy, oz = (float(v) for v in offsets)
-        return cls._constant(p, (x0 + ox, y0 + oy, oz))
-
-    @classmethod
-    def equilibrium_plus_sine(cls, p: ModelParams, amplitudes,
-                              frequency: float, phase: float = 0.0) -> "History":
-        x0, y0 = plankton_only_point(p)
-        ax, ay, az = (float(v) for v in amplitudes)
-        eq, amp = np.array([x0, y0, 0.0]), np.array([ax, ay, az])
-        w, ph = float(frequency), float(phase)
-
-        def sup(hist, i, a, b, center):
+        def component_range(hist, i, a, b):
             if w != 0.0 and b - a >= 2.0 * math.pi / abs(w):
-                # a full period: sin takes both 1 and -1 in the window, so
-                # the sup is |eq - center| + |amp|, here in the arithmetic
-                # of the formula at those two points
-                return float(max(abs(eq[i] + amp[i] - center),
-                                 abs(eq[i] - amp[i] - center)))
+                # a full period: sin takes both 1 and -1 in the window
+                return float(eq[i] - abs(amp[i])), float(eq[i] + abs(amp[i]))
             # the window endpoints and the interior extrema of sin(w t + ph)
             thetas = [a, b]
             if w != 0.0:
@@ -89,9 +66,26 @@ class History:
                 interior = (((k + 0.5) * math.pi - ph) / w
                             for k in range(k0, k1 + 1))
                 thetas += [t for t in interior if a <= t <= b]
-            return hist._sup_at(i, thetas, center)
+            return hist._range_at(i, thetas)
 
-        return cls(p, lambda ts: eq + amp * np.sin(w * ts[:, None] + ph), sup)
+        return cls(p, lambda ts: eq + amp * np.sin(w * ts[:, None] + ph),
+                   component_range)
+
+    @classmethod
+    def constant(cls, p: ModelParams, values) -> "History":
+        return cls._analytic(p, (0.0, 0.0, 0.0), values, 0.0, 0.5 * math.pi)
+
+    @classmethod
+    def equilibrium_plus_constant(cls, p: ModelParams, offsets) -> "History":
+        x0, y0 = plankton_only_point(p)
+        return cls._analytic(p, (x0, y0, 0.0), offsets, 0.0, 0.5 * math.pi)
+
+    @classmethod
+    def equilibrium_plus_sine(cls, p: ModelParams, amplitudes,
+                              frequency: float, phase: float = 0.0) -> "History":
+        x0, y0 = plankton_only_point(p)
+        return cls._analytic(p, (x0, y0, 0.0), amplitudes, float(frequency),
+                             float(phase))
 
     @classmethod
     def tabulated(cls, p: ModelParams, thetas, values) -> "History":
@@ -104,16 +98,16 @@ class History:
             raise DomainError("tabulated history must cover [-tau_max, 0]")
         splines = [CubicSpline(thetas, values[:, i], bc_type="natural")
                    for i in range(3)]
+        # a component peaks at a window endpoint or at a real root of
+        # its spline's derivative inside the window
+        roots = [s.derivative().roots(extrapolate=False) for s in splines]
 
-        def sup(hist, i, a, b, center):
-            # the window endpoints and the real roots of the spline's
-            # derivative inside the window
-            roots = splines[i].derivative().roots(extrapolate=False)
-            return hist._sup_at(i, np.concatenate(
-                ([a, b], roots[(roots > a) & (roots < b)])), center)
+        def component_range(hist, i, a, b):
+            inner = roots[i][(roots[i] > a) & (roots[i] < b)]
+            return hist._range_at(i, np.concatenate(([a, b], inner)))
 
         return cls(p, lambda ts: np.column_stack([s(ts) for s in splines]),
-                   sup)
+                   component_range)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -134,32 +128,38 @@ class History:
     def __call__(self, theta: float):
         return tuple(self.eval_many([theta])[0].tolist())
 
-    def sup_abs_deviation(self, i: int, window, center: float) -> float:
-        """Sup of |component_i(theta) - center| over the window, exactly.
+    def component_range(self, i: int, window) -> tuple[float, float]:
+        """Exact (min, max) of component_i(theta) over the window.
 
         A sine component whose window holds a full period gives
-        |equilibrium - center| + |amplitude| in closed form.  Otherwise
-        the component is evaluated at every theta where it can peak: the
+        equilibrium -/+ |amplitude| in closed form.  Otherwise the
+        component is evaluated at every theta where it can peak: the
         window endpoints and its formula's interior extrema (for a
         tabulated history, the real roots of the spline's derivative).
         """
-        return self._sup(self, i, *window, center)
+        return self._range(self, i, *window)
 
-    def _sup_at(self, i: int, thetas, center: float) -> float:
-        return float(np.abs(self.eval_many(thetas)[:, i] - center).max())
+    def sup_abs_deviation(self, i: int, window, center: float) -> float:
+        """Sup of |component_i(theta) - center| over the window, exactly.
+
+        The rounded v - center is monotone in v, so the sup is taken at
+        the ends of :meth:`component_range`.
+        """
+        lo, hi = self.component_range(i, window)
+        return max(abs(lo - center), abs(hi - center))
+
+    def _range_at(self, i: int, thetas) -> tuple[float, float]:
+        v = self.eval_many(thetas)[:, i]
+        return float(v.min()), float(v.max())
 
     def _validate(self):
-        grids = [np.linspace(lo, 0.0, _GRID) for lo, _ in self.windows]
-        values = self.eval_many(np.concatenate(grids)).reshape(3, _GRID, 3)
-        for i, grid in enumerate(grids):
-            v = values[i, :, i]
-            bad = ~np.isfinite(v) | (v < 0.0)
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise DomainError(
-                    f"history component {i} is {float(v[k])!r} at theta = "
-                    f"{grid[k]:g}; components must be finite and non-negative")
-        if values[0, -1, 0] <= 0.0:  # the last theta of a grid is 0
+        for i, (a, b) in enumerate(self.windows):
+            lo, hi = self.component_range(i, (a, b))
+            if not (lo >= 0.0 and hi < math.inf):  # a nan fails lo >= 0
+                raise DomainError(f"history component {i} has minimum {lo!r} "
+                                  f"and maximum {hi!r} on [{a:g}, {b:g}]; "
+                                  "components must be finite and non-negative")
+        if self.eval_many([0.0])[0, 0] <= 0.0:
             raise DomainError("history requires phi(0) > 0")
 
 
@@ -350,7 +350,7 @@ def check_positivity_boundedness(traj: Trajectory,
     if observed_min < -POSITIVITY_TOL:
         ok = False
         messages.append(f"component dips to {observed_min:g}")
-    x_max = float(traj.states[:, 0].max())
+    x_max = traj.observed_sup[0]
     if x_max > x_bound + 1e-6:
         ok = False
         messages.append(f"x exceeds logistic bound: {x_max:g} > {x_bound:g}")

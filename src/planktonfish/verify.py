@@ -33,7 +33,7 @@ class ExtendedHistory:
         self.hist = hist
         self.p = p
         self.shift = (x0, y0, 0.0)
-        self.windows = ((-p.tau1, 0.0), (-p.tau_max, 0.0), (-p.tau2, 0.0))
+        self.windows = hist.windows
 
     def eval_many(self, thetas) -> np.ndarray:
         """Rows (phi - x0, psi - y0, eta) at each theta, from one history lookup.

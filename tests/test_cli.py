@@ -145,6 +145,37 @@ class TestRunScenario:
         assert code == EXIT_INADMISSIBLE
         assert "theorem inadmissible" in files["report"].read_text()
 
+    def test_history_dip_between_grid_points_is_input_error(self, tmp_path,
+                                                            capsys):
+        # 2 pi * 25600: a uniform 257-point grid on a 0.1 window steps 10
+        # periods at a time and sees only psi = y0 = 0.447, but psi dips
+        # to y0 - 0.9 < 0
+        tree = {"params": CASE2, "horizon": 1.0,
+                "history": {"preset": "equilibrium_plus_sine",
+                            "amplitudes": [0.0, 0.9, 0.0], "phase": 0.0,
+                            "frequency": 160849.54386379741},
+                "outputs": {"dir": str(tmp_path / "out")}}
+        code, files = run_scenario(_write_config(tmp_path / "c.yaml", tree))
+        assert code == EXIT_INPUT and "trajectory" not in files
+        assert re.search(r"component 1 has minimum -0\.452585\d* .* finite "
+                         r"and non-negative", capsys.readouterr().out)
+
+    @pytest.mark.xfail(strict=True, reason="V0 is a 128-subinterval Simpson "
+                       "sum, and at 2 pi * 1280 every node of the phi window "
+                       "sits on a zero of the sine")
+    def test_history_resonant_with_the_V0_quadrature_is_inadmissible(
+            self, tmp_path):
+        # the node spacing tau/128 is one period, so every Simpson node
+        # sees x = x0 and V0 reads about 1e-30; the true V0 breaks (47)
+        tree = {"params": CASE2, "horizon": 50.0,
+                "history": {"preset": "equilibrium_plus_sine",
+                            "amplitudes": [0.05, 0.0, 0.0], "phase": 0.0,
+                            "frequency": 8042.47719318987},
+                "outputs": {"dir": str(tmp_path / "out"),
+                            "files": ["report"]}}
+        code, _ = run_scenario(_write_config(tmp_path / "c.yaml", tree))
+        assert code == EXIT_INADMISSIBLE
+
     def test_unstable_params_inadmissible(self, tmp_path):
         params = dict(CASE2, r=2.0, b2=2.0, d1=1.0)
         tree = {"params": params, "horizon": 5.0,

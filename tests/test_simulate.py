@@ -1,9 +1,12 @@
 import csv
 import math
+import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planktonfish import simulate
 from planktonfish import (DomainError, History, IntegrationError,
@@ -157,9 +160,34 @@ class TestHistory:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_component(self, case2_params, bad):
-        with pytest.raises(DomainError, match=f"component 1 is {bad!r} at "
-                                              f"theta = -0.1; .* finite"):
+        with pytest.raises(DomainError, match=rf"component 1 has minimum "
+                                              rf"{bad!r} .* on \[-0.1, 0\]; "
+                                              rf".* finite"):
             History.constant(case2_params, (0.5, bad, 0.0))
+
+    def test_rejects_a_dip_that_a_uniform_grid_aliases(self, case2_params):
+        # 2 pi * 256 / tau_max: every point of a 257-point grid on psi's
+        # window sits on a zero of the sine, where psi = y0 > 0, but psi
+        # dips to y0 - 2 y0 = -y0 between them
+        p = case2_params
+        _, y0 = plankton_only_point(p)
+        with pytest.raises(DomainError, match="component 1 has minimum "
+                                              f"{-y0!r}"):
+            History.equilibrium_plus_sine(p, (0.0, 2.0 * y0, 0.0),
+                                          2.0 * math.pi * 256.0 / p.tau_max)
+
+    def test_constant_presets_give_constant_rows(self, case2_params):
+        # the zero-frequency sine reads back exactly the constants
+        p = case2_params
+        x0, y0 = plankton_only_point(p)
+        ts = np.linspace(-p.tau_max, 0.0, 4096)
+        offsets = (1e-5, 5e-6, 1e-5)
+        cases = [(History.constant(p, (0.5, 0.2, 1e-300)), (0.5, 0.2, 1e-300)),
+                 (History.equilibrium_plus_constant(p, offsets),
+                  (x0 + offsets[0], y0 + offsets[1], offsets[2]))]
+        for hist, row in cases:
+            assert np.array_equal(hist.eval_many(ts),
+                                  np.full((ts.size, 3), row))
 
     def test_rejects_zero_initial_phytoplankton(self, case2_params):
         with pytest.raises(DomainError, match="phi"):
@@ -277,31 +305,98 @@ class TestHistory:
             assert grid_max_abs_deviation(hist, i, window, 0.4) <= sup
 
     @pytest.mark.parametrize("kind", ["sine", "tabulated"])
-    def test_validation_message_names_first_bad_point(self, case2_params,
-                                                      kind):
+    def test_validation_message_names_exact_minimum(self, case2_params, kind):
         # a fish component that dips below zero inside its window; the
-        # message names the first negative value on the 257-point grid
+        # message names the component's exact minimum on [-tau2, 0]
         from scipy.interpolate import CubicSpline
+        from scipy.optimize import minimize_scalar
         p = case2_params
-        grid = np.linspace(-p.tau2, 0.0, 257)
         knots = np.linspace(-p.tau_max, 0.0, 5)
-        fish = 0.01 - 30.0 * (knots + 0.05) ** 2
+        fish = 30.0 * (knots + 0.04) ** 2 - 0.01
         if kind == "sine":
-            expected = 0.0 + 1e-3 * np.sin(40.0 * grid + 0.0)
+            # 40 theta passes -pi/2 at theta = -0.039, inside the window
+            expected = -1e-3
             make = lambda: History.equilibrium_plus_sine(  # noqa: E731
                 p, (0.0, 0.0, 1e-3), 40.0)
         else:
-            expected = CubicSpline(knots, fish, bc_type="natural")(grid)
+            # the spline's minimum lies between the knots -0.05 and -0.025
+            spline = CubicSpline(knots, fish, bc_type="natural")
+            best = minimize_scalar(spline, bounds=(-0.05, -0.025),
+                                   method="bounded",
+                                   options={"xatol": 1e-12})
+            expected = float(best.fun)
+            assert -0.05 < best.x < -0.025 and expected < fish.min()
             make = lambda: History.tabulated(  # noqa: E731
                 p, knots, np.column_stack([0.5 + 0 * knots, 0.3 + 0 * knots,
                                            fish]))
-        k = int(np.argmax(expected < 0.0))
-        assert expected[k] < 0.0
         with pytest.raises(DomainError) as info:
             make()
-        assert str(info.value) == (
-            f"history component 2 is {float(expected[k])!r} at theta = "
-            f"{grid[k]:g}; components must be finite and non-negative")
+        found = re.fullmatch(
+            r"history component 2 has minimum (\S+) and maximum \S+ on "
+            r"\[-0.1, 0\]; components must be finite and non-negative",
+            str(info.value))
+        assert found
+        assert float(found.group(1)) == pytest.approx(expected, rel=1e-12,
+                                                      abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.one_of(
+        st.tuples(st.just("sine"), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                  st.one_of(st.floats(-100.0, 100.0), st.floats(-1e4, 1e4),
+                            # frequencies that alias a uniform grid of
+                            # 2^k + 1 points on a window of 0.1 or 0.3
+                            st.builds(lambda s, k, n, tau: s * 2.0 * math.pi
+                                      * n * 2 ** k / tau,
+                                      st.sampled_from([-1.0, 1.0]),
+                                      st.integers(4, 10), st.integers(1, 8),
+                                      st.sampled_from([0.1, 0.3]))),
+                  st.floats(-math.pi, math.pi)),
+        st.tuples(st.just("tabulated"),
+                  st.lists(st.floats(1.0, 2.0), min_size=12, max_size=36))),
+        window=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    def test_range_bounds_a_dense_grid_and_is_attained(self, case, window):
+        p = _readme_params(0.1, 0.3)
+        x0, y0 = plankton_only_point(p)
+        if case[0] == "sine":
+            _, ux, uy, w, ph = case
+            hist = History.equilibrium_plus_sine(p, (ux * x0, uy * y0, 0.0),
+                                                 w, phase=ph)
+        else:
+            values = np.reshape(case[1][:len(case[1]) // 3 * 3], (-1, 3))
+            knots = np.linspace(-p.tau_max, 0.0, values.shape[0])
+            hist = History.tabulated(p, knots, values)
+        u, v = sorted(window)
+        windows = list(hist.windows) + [(-p.tau_max * v, -p.tau_max * u)]
+        for i, (a, b) in ((i, ab) for ab in windows for i in range(3)):
+            lo, hi = hist.component_range(i, (a, b))
+            f = lambda ts: hist.eval_many(ts)[:, i]  # noqa: E731
+            dense = f(np.linspace(a, b, 4097))
+            tol = 1e-12 * (1.0 + np.abs(dense).max())
+            assert lo - tol <= dense.min() and dense.max() <= hi + tol
+            assert abs(_zoomed_min(f, a, b) - lo) <= 1e-9
+            assert abs(-_zoomed_min(lambda ts: -f(ts), a, b) - hi) <= 1e-9
+
+
+def _zoomed_min(f, a, b, points=1025, seeds=4, rounds=5):
+    """Smallest value of f on [a, b] that a zooming grid search finds.
+
+    The lowest local minima of a uniform grid are each refined by a
+    fresh grid over their two neighbouring intervals, ``rounds`` times.
+    """
+    ts = np.linspace(a, b, points)
+    v = f(ts)
+    pad = np.concatenate(([np.inf], v, [np.inf]))
+    local = np.flatnonzero((v <= pad[:-2]) & (v <= pad[2:]))
+    best = math.inf
+    for k in local[np.argsort(v[local])][:seeds]:
+        lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, points - 1)]
+        for _ in range(rounds):
+            grid = np.linspace(lo, hi, points)
+            g = f(grid)
+            j = int(np.argmin(g))
+            lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, points - 1)]
+        best = min(best, float(g[j]))
+    return best
 
 
 class TestIntegrate:
