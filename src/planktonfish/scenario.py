@@ -35,8 +35,14 @@ EXIT_INADMISSIBLE = 2
 EXIT_VIOLATION = 3
 EXIT_INPUT = 4
 
-_HISTORY_PRESETS = ("constant", "equilibrium_plus_constant",
-                    "equilibrium_plus_sine", "tabulated")
+_REQUIRED = object()  # a history argument without a default
+_HISTORY_ARGS = {  # preset -> {argument: default}; analytic: History kwargs
+    "constant": {"values": _REQUIRED},
+    "equilibrium_plus_constant": {"offsets": (0.0, 0.0, 0.0)},
+    "equilibrium_plus_sine": {"amplitudes": _REQUIRED, "frequency": _REQUIRED,
+                              "phase": 0.0},
+    "tabulated": {"table": _REQUIRED},
+}
 _OUTPUT_FILES = ("equilibria", "certificate", "trajectory",
                  "verification", "report")
 
@@ -98,6 +104,7 @@ def _section(tree, key, known=None) -> dict:
 
 
 def load_scenario(config_path) -> Scenario:
+    """Read a scenario, its history's arguments checked and defaulted."""
     path = Path(config_path)
     try:
         text = path.read_text()
@@ -118,10 +125,14 @@ def load_scenario(config_path) -> Scenario:
 
     hist = _section(tree, "history")
     preset = hist.get("preset", "equilibrium_plus_constant")
-    if preset not in _HISTORY_PRESETS:
-        raise ConfigError(f"history.preset must be one of {_HISTORY_PRESETS}, "
-                          f"got {preset!r}")
-    history_args = {k: v for k, v in hist.items() if k != "preset"}
+    # ``in`` a tuple compares, where a dict lookup would hash a list preset
+    if preset not in tuple(_HISTORY_ARGS):
+        raise ConfigError(f"history.preset must be one of "
+                          f"{tuple(_HISTORY_ARGS)}, got {preset!r}")
+    args = _HISTORY_ARGS[preset]
+    _check_keys(hist, ("preset", *args), "'history'")
+    history_args = {k: _require(hist, k, "history") if v is _REQUIRED
+                    else hist.get(k, v) for k, v in args.items()}
 
     solver = _section(tree, "solver", ("step_divisor", "stride"))
     overrides = _section(tree, "overrides",
@@ -156,24 +167,13 @@ def load_scenario(config_path) -> Scenario:
 
 
 def build_history(scenario: Scenario, p: ModelParams) -> History:
+    """The preset's ``History`` constructor on the loaded arguments."""
     args = scenario.history_args
-    preset = scenario.history_preset
     try:
-        if preset == "constant":
-            return History.constant(p, _require(args, "values", "history"))
-        if preset == "equilibrium_plus_constant":
-            return History.equilibrium_plus_constant(
-                p, args.get("offsets", (0.0, 0.0, 0.0)))
-        if preset == "equilibrium_plus_sine":
-            return History.equilibrium_plus_sine(
-                p, _require(args, "amplitudes", "history"),
-                _require(args, "frequency", "history"),
-                args.get("phase", 0.0))
-        table_path = _require(args, "table", "history")
-        rows = np.loadtxt(table_path, delimiter=",", skiprows=1)
-        return History.tabulated(p, rows[:, 0], rows[:, 1:4])
-    except ConfigError:
-        raise
+        if scenario.history_preset == "tabulated":
+            rows = np.loadtxt(args["table"], delimiter=",", skiprows=1)
+            return History.tabulated(p, rows[:, 0], rows[:, 1:4])
+        return getattr(History, scenario.history_preset)(p, **args)
     # ValueError covers DomainError, a non-numeric table cell (np.loadtxt)
     # and a theta column that is not strictly increasing (CubicSpline);
     # TypeError a value of the wrong type, such as ``offsets: null``, and
@@ -359,18 +359,19 @@ def _set_scenario_value(scenario: Scenario, key: str, value: float):
         scenario.params[parts[1]] = value
     elif parts[0] == "horizon" and len(parts) == 1:
         scenario.horizon = value
-    elif parts[0] == "history" and len(parts) == 3:
-        name, idx = parts[1], parts[2]
-        seq = scenario.history_args.get(name, (0.0, 0.0, 0.0))
-        if (not isinstance(seq, (list, tuple)) or not idx.isdecimal()
-                or int(idx) >= len(seq)):
-            raise ConfigError(f"key {key!r} does not address an element "
-                              f"of history.{name}")
-        seq = list(seq)
-        seq[int(idx)] = value
-        scenario.history_args[name] = seq
-    elif parts[0] == "history" and len(parts) == 2:
-        scenario.history_args[parts[1]] = value
+    elif parts[0] == "history" and len(parts) in (2, 3):
+        args, name = scenario.history_args, parts[1]
+        if name not in args:
+            raise ConfigError(f"key {key!r} does not address an argument of "
+                              f"history preset {scenario.history_preset!r}")
+        if len(parts) == 3:
+            seq, idx = args[name], parts[2]
+            if (not isinstance(seq, (list, tuple)) or not idx.isdecimal()
+                    or int(idx) >= len(seq)):
+                raise ConfigError(f"key {key!r} does not address an element "
+                                  f"of history.{name}")
+            value = [*seq[:int(idx)], value, *seq[int(idx) + 1:]]
+        args[name] = value
     elif parts[0] == "overrides" and len(parts) == 2:
         if parts[1] not in {f.name for f in fields(CertificateOptions)}:
             raise ConfigError(f"unknown override {parts[1]!r}")
@@ -385,9 +386,8 @@ def sweep(config_path, key: str, values, out_dir=None) -> tuple[int, Path]:
     Each row's summary comes from its own run; nothing is recomputed.  A
     failing row is recorded and does not abort the sweep.
     """
-    base_out = Path(out_dir) if out_dir is not None else None
     first = load_scenario(config_path)  # raises ConfigError on bad input
-    root = base_out if base_out is not None else Path(first.out_dir)
+    root = Path(out_dir if out_dir is not None else first.out_dir)
     root.mkdir(parents=True, exist_ok=True)
     summary = root / "sweep_summary.csv"
     with open(summary, "w", newline="") as fh:

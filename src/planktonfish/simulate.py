@@ -222,15 +222,19 @@ class Trajectory:
 
     def to_csv(self, path, stride: int = 1):
         """Write every ``stride``-th node as ``t,x,y,z`` rows (CRLF, %.17g)."""
-        n = self.states.shape[0]
-        span = stride * _CSV_CHUNK
-        with open(path, "w", newline="") as fh:
-            fh.write("t,x,y,z\r\n")
-            for start in range(0, n, span):
-                sl = slice(start, min(start + span, n), stride)
-                rows = np.column_stack((self.times[sl], self.states[sl]))
-                fh.write("%.17g,%.17g,%.17g,%.17g\r\n" * rows.shape[0]
-                         % tuple(rows.ravel().tolist()))
+        span, n = stride * _CSV_CHUNK, self.states.shape[0]
+        write_float_rows(path, ("t", "x", "y", "z"), (np.column_stack(
+            (self.times[s:s + span:stride], self.states[s:s + span:stride]))
+            for s in range(0, n, span)))
+
+
+def write_float_rows(path, header, blocks):
+    """Write a header, then each 2-D float block's rows (CRLF, %.17g)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for rows in blocks:
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+            fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
 def default_step(p: ModelParams, divisor: int = 20) -> float:

@@ -8,7 +8,6 @@ envelopes and the differential inequality dV/dt <= -eps*V + q*V^{3/2}.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 from .certificate import LKCertificate, kernel_base
 from .errors import DomainError
 from .model import ModelParams, rhs
-from .simulate import History, Trajectory
+from .simulate import History, Trajectory, write_float_rows
 
 V_QUAD_SUBINTERVALS = 128  # per delay window; spec floor is 64
 ENVELOPE_BASE_TOL = 1e-6
@@ -318,11 +317,7 @@ def write_verification_csv(path, cert: LKCertificate, env: EnvelopeReport,
     The rows come from two reports on one trajectory; nothing is re-evaluated.
     """
     margins = env.bounds - np.abs(env.states - (cert.x0, cert.y0, 0.0))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "z", "V",
-                         "bound_x", "bound_y", "bound_z",
-                         "margin_x", "margin_y", "margin_z"])
-        for row in np.column_stack((env.times, env.states, dineq.V,
-                                    env.bounds, margins)).tolist():
-            writer.writerow([f"{val:.17g}" for val in row])
+    write_float_rows(path, ("t", "x", "y", "z", "V", "bound_x", "bound_y",
+                            "bound_z", "margin_x", "margin_y", "margin_z"),
+                     [np.column_stack((env.times, env.states, dineq.V,
+                                       env.bounds, margins))])

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import re
 import warnings
 
@@ -13,11 +14,12 @@ from planktonfish.cli import main
 from planktonfish.errors import (CertificateError, DomainError,
                                  IntegrationError, ParameterError)
 from planktonfish.model import derive_params
-from planktonfish.scenario import (EXIT_INADMISSIBLE, EXIT_INPUT, EXIT_OK,
+from planktonfish.scenario import (_HISTORY_ARGS, EXIT_INADMISSIBLE,
+                                   EXIT_INPUT, EXIT_OK, EXIT_VIOLATION,
                                    ConfigError, _set_scenario_value,
                                    build_history, load_scenario,
                                    run_loaded_scenario, run_scenario, sweep)
-from planktonfish.simulate import default_step, integrate
+from planktonfish.simulate import History, default_step, integrate
 from planktonfish.spectrum import lemma_classify
 
 CASE2 = dict(r=1.0, K=1.0, c1=1.0, c2=1.0, d1=1.5, d2=1.0,
@@ -71,6 +73,32 @@ class TestLoadScenario:
                              "history": {"preset": "nope"}})
         with pytest.raises(ConfigError, match="preset"):
             load_scenario(cfg)
+
+    def test_missing_history_argument_rejected(self, tmp_path):
+        cfg = _write_config(tmp_path / "c.yaml",
+                            {"params": CASE2,
+                             "history": {"preset": "constant"}})
+        with pytest.raises(ConfigError,
+                           match="^missing key 'values' in history$"):
+            load_scenario(cfg)
+
+    def test_history_defaults_filled_in(self, tmp_path):
+        cfg = _write_config(tmp_path / "c.yaml",
+                            {"params": CASE2,
+                             "history": {"preset": "equilibrium_plus_sine",
+                                         "amplitudes": [1e-5, 0.0, 0.0],
+                                         "frequency": 2.0}})
+        assert load_scenario(cfg).history_args == {
+            "amplitudes": [1e-5, 0.0, 0.0], "frequency": 2.0, "phase": 0.0}
+
+    @pytest.mark.parametrize("preset", ["constant",
+                                        "equilibrium_plus_constant",
+                                        "equilibrium_plus_sine"])
+    def test_history_args_are_the_constructor_keywords(self, preset):
+        # build_history passes the table's names as keywords
+        params = list(inspect.signature(getattr(History, preset)).parameters)
+        assert params[0] == "p"
+        assert list(_HISTORY_ARGS[preset]) == params[1:]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -331,6 +359,32 @@ class TestRunScenario:
             f"input error: unknown key {key!r} in {where}\n")
         assert not out.exists() or not any(out.iterdir())
 
+    def test_mistyped_history_key_is_input_error(self, tmp_path, capsys):
+        tree = {"params": CASE2, "horizon": 1.0,
+                "history": {"preset": "equilibrium_plus_constant",
+                            "ofsets": [0.5, 0.0, 0.0]}}
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out_dir=out) == (EXIT_INPUT, {})
+        assert capsys.readouterr().out == (
+            "input error: unknown key 'ofsets' in 'history'\n")
+        assert not out.exists()
+
+    def test_violated_envelope_exits_3(self, tmp_path, monkeypatch):
+        # the README scenario against envelopes half as wide as predicted
+        envelope = verify.predicted_envelope
+        monkeypatch.setattr(verify, "predicted_envelope",
+                            lambda cert, V0, t: tuple(
+                                0.5 * b for b in envelope(cert, V0, t)))
+        tree = {"params": CASE2,
+                "history": {"preset": "equilibrium_plus_constant",
+                            "offsets": [1e-5, 5e-6, 1e-5]},
+                "horizon": 5.0}
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        code, files = run_scenario(cfg, out_dir=tmp_path / "out")
+        assert code == EXIT_VIOLATION
+        assert "envelope check: FAIL" in files["report"].read_text()
+
     def test_sweep_loads_the_scenario_once_per_row(self, small_config,
                                                    tmp_path, monkeypatch):
         calls = []
@@ -455,6 +509,18 @@ class TestSweep:
             f"error: key {key!r} does not address an element of "
             "history.offsets"] * 2
         assert all(row[8] == str(EXIT_INPUT) for row in rows)
+
+    @pytest.mark.parametrize("key", ["history.phase", "history.preset",
+                                     "history.phase.0"])
+    def test_argument_the_preset_lacks_recorded_as_row_error(
+            self, small_config, tmp_path, key):
+        code, summary = sweep(small_config, key, [0.0, 1.0],
+                              out_dir=tmp_path / "sw")
+        assert code == EXIT_OK
+        assert _data_rows(summary) == [
+            [value, f"error: key {key!r} does not address an argument of "
+             "history preset 'equilibrium_plus_constant'",
+             "", "", "", "", "", "", str(EXIT_INPUT)] for value in ("0", "1")]
 
     def test_bad_h33_factor_row_is_inadmissible(self, small_config,
                                                 tmp_path):

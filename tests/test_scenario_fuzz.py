@@ -82,3 +82,25 @@ def test_mutated_readme_scenario_exits_cleanly(tree):
             pass  # ConfigError; run_scenario must then exit 4
         code, _ = run_scenario(cfg, out_dir=Path(tmp, "out"))
     assert code in (EXIT_OK, EXIT_INADMISSIBLE, EXIT_VIOLATION, EXIT_INPUT)
+
+
+# an ``x_`` prefix is never a valid name, so each stray key is an input error
+STRAY_KEY = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_0123456789",
+                    max_size=6).map(lambda name: "x_" + name)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(section=st.sampled_from([None, "params", "history", "solver",
+                                "overrides", "outputs"]),
+       key=STRAY_KEY, value=st.one_of(st.none(), st.integers(-3, 3),
+                                      st.text(max_size=3)))
+def test_stray_key_is_input_error(section, key, value):
+    tree = copy.deepcopy(README_TREE)
+    (tree if section is None else tree[section])[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp, "scenario.yaml")
+        cfg.write_text(yaml.safe_dump(tree))
+        code, files = run_scenario(cfg, out_dir=Path(tmp, "out"))
+    # a stray rate is rejected by derive_params, before any file is written
+    assert (code, files) == (EXIT_INPUT, {})
