@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import CertificateError, DomainError
 from .model import LinearizedSystem, ModelParams, linearize
+from .spectrum import lemma_classify
 from .symmat import first_not_positive_definite, is_positive_definite
 
 
@@ -134,6 +135,12 @@ def choose_rates(p: ModelParams,
                   else "0 < e2*c2*y0 < d2")
         raise CertificateError(
             f"certificate inapplicable: inequality {failed} fails")
+    # the gaps restate the lemma's rule; at its rounding boundary only the
+    # lemma's verdict decides
+    verdict = lemma_classify(p)
+    if verdict.kind != "AsymptoticallyStable":
+        raise CertificateError(f"certificate inapplicable: verdict "
+                               f"{verdict.kind} ({verdict.witness})")
     if p.tau1 == 0.0 or p.tau2 == 0.0:
         raise DomainError(
             "certificate construction requires tau1 > 0 and tau2 > 0; "

@@ -5,9 +5,13 @@ output, advanced as a block method of steps (Bellen & Zennaro, Numerical
 Methods for Delay Differential Equations, 2003).  The step is at most
 the smallest positive delay / 20, so a block of floor(tau_min/h) - 2
 steps reads its delayed values only from history or from nodes completed
-before the block.  Each block evaluates those delayed terms in one
-vectorised lookup, then runs a scalar RK4 loop over the local part.  The
-loop writes the four RK4 stages inline, and equal delays share one lookup.
+before the block.  On the uniform mesh t_i = i*h the delayed time of a
+stage sits at the same fraction of a step for every node, so each delay
+and RK4 stage offset takes one set of Hermite weights per integration: a
+block's delayed terms are node slices combined with those weights, read
+exactly at the nodes when h divides the delay and at a constant fraction
+otherwise.  A scalar RK4 loop then advances the local part.  The loop
+writes the four RK4 stages inline, and equal delays share one lookup.
 """
 
 from __future__ import annotations
@@ -172,6 +176,20 @@ class PositivityReport:
     messages: list[str] = field(default_factory=list)
 
 
+def _hermite(u, h: float, states: np.ndarray, derivs: np.ndarray, k0, k1):
+    """Cubic Hermite value at fraction ``u`` of the step from node k0 to k1.
+
+    ``k0`` and ``k1`` index the rows of ``states`` and ``derivs`` (index
+    arrays or slices); ``u`` is a scalar or an array that broadcasts with
+    those rows.  Each row set is gathered only as its term is formed.
+    """
+    u2, u3 = u * u, u * u * u
+    return ((2.0 * u3 - 3.0 * u2 + 1.0) * states[k0]
+            + (u3 - 2.0 * u2 + u) * h * derivs[k0]
+            + (-2.0 * u3 + 3.0 * u2) * states[k1]
+            + (u3 - u2) * h * derivs[k1])
+
+
 def _dense(states: np.ndarray, derivs: np.ndarray, h: float,
            history: History, ts: np.ndarray) -> np.ndarray:
     """State at each time of ``ts``: history for t < 0, cubic Hermite else.
@@ -183,14 +201,48 @@ def _dense(states: np.ndarray, derivs: np.ndarray, h: float,
     q = np.maximum(ts, 0.0) / h
     k = np.minimum(q.astype(int), states.shape[0] - 2)
     u = np.minimum(q - k, 1.0)[:, None]
-    u2, u3 = u * u, u * u * u
-    out = ((2.0 * u3 - 3.0 * u2 + 1.0) * states[k]
-           + (u3 - 2.0 * u2 + u) * h * derivs[k]
-           + (-2.0 * u3 + 3.0 * u2) * states[k + 1]
-           + (u3 - u2) * h * derivs[k + 1])
+    out = _hermite(u, h, states, derivs, k, k + 1)
     neg = ts < 0.0
     if neg.any():
         out[neg] = history.eval_many(ts[neg])
+    return out
+
+
+def _stencil(tau: float, h: float) -> list[tuple[float, int, float]]:
+    """(off, j, u) per RK4 stage offset for a delay ``tau`` on the mesh k*h.
+
+    The delayed time (i + off)*h - tau of row i sits at position
+    i + off - tau/h, that is node i + j plus the fraction u, the same
+    for every row.
+    """
+    out = []
+    for off in (0.0, 0.5, 1.0):  # the RK4 stage times t, t + h/2, t + h
+        c = off - tau / h
+        j = math.floor(c)
+        out.append((off, j, c - j))
+    return out
+
+
+def _delayed(states: np.ndarray, derivs: np.ndarray, h: float,
+             history: History, tau: float, stencil, i0: int,
+             i1: int) -> np.ndarray:
+    """States at the stage times (i + off)*h - tau, shape (3, i1 - i0, 3).
+
+    One plane per stage offset of ``stencil``, one row per i in
+    [i0, i1).  Rows whose node i + j is negative read the history at the
+    stage time, clamped to 0; the others are node slices, combined with
+    the stencil's Hermite weights unless u is 0.
+    """
+    out = np.empty((3, i1 - i0, 3))
+    for plane, (off, j, u) in zip(out, stencil):
+        mid = min(max(i0, -j), i1)  # first row on a node >= 0
+        if mid > i0:
+            t = np.arange(i0, mid) * h
+            plane[:mid - i0] = history.eval_many(
+                np.minimum((t + off * h) - tau, 0.0))
+        a, b = mid + j, i1 + j
+        plane[mid - i0:] = states[a:b] if u == 0.0 else _hermite(
+            u, h, states, derivs, slice(a, b), slice(a + 1, b + 1))
     return out
 
 
@@ -256,13 +308,18 @@ def integrate(p: ModelParams, hist: History, t_end: float,
 
     Block method of steps: with ``B = floor(tau_min/h) - 2`` steps per
     block, every delayed value a block needs lies at least two nodes
-    before the block, on nodes already completed.  The delayed coupling
-    terms of a whole block are evaluated in one vectorised lookup per
-    distinct positive delay at the three RK4 stage times; a scalar RK4
-    loop with inline stages then advances the local part and collects
-    the block's derivatives and nodes in flat lists.  A zero delay's
-    coupling term is local and is evaluated in the loop from the stage
-    state.
+    before the block, on nodes already completed.  For each distinct
+    positive delay and each stage offset off in (0, 1/2, 1), the delayed
+    time of row i sits at node i + j plus a fraction u that is the same
+    for every row; j and u are computed once per call, so every block
+    combines its nodes with the same Hermite weights.  A block's delayed
+    coupling terms are then node slices: the nodes themselves when u is
+    0 (h divides the delay), else the slices combined with those
+    weights, and the history at the stage time for rows before node 0.
+    A scalar RK4 loop with inline stages then advances the local part
+    and collects the block's derivatives and nodes in flat lists.  A
+    zero delay's coupling term is local and is evaluated in the loop
+    from the stage state.
     """
     if t_end <= 0.0:
         raise DomainError("t_end must be positive")
@@ -291,25 +348,24 @@ def integrate(p: ModelParams, hist: History, t_end: float,
     flat_states, flat_derivs = states.reshape(-1), derivs.reshape(-1)
     states[0] = hist(0.0)
     x, y, z = states[0].tolist()
+    stencils = {tau: _stencil(tau, h) for tau in set(pos_taus)}
 
     # Indices run to n inclusive so that the last block also yields
     # derivs[n]; the state it computes past t_end is discarded.
     for i0 in range(0, n + 1, block):
         i1 = min(i0 + block, n + 1)
-        t = np.arange(i0, i1) * h
         # delayed coupling terms e1*c1*x*y and e2*c2*y*z at t - tau,
-        # t + h/2 - tau and t + h - tau, one row each; equal delays share
-        # one lookup, and a zero delay's rows are placeholders
-        none = [[None] * t.size] * 3
+        # t + h/2 - tau and t + h - tau, one plane each; equal delays
+        # share one lookup, and a zero delay's rows are placeholders
+        none = [[None] * (i1 - i0)] * 3
         with np.errstate(over="ignore", invalid="ignore"):
-            u = {tau: _dense(states, derivs, h, hist, np.concatenate(
-                     (t - tau, (t + hh) - tau, (t + h) - tau)))
-                 for tau in set(pos_taus)}
+            u = {tau: _delayed(states, derivs, h, hist, tau, st, i0, i1)
+                 for tau, st in stencils.items()}
             u1, u2 = u.get(tau1), u.get(tau2)
             w1 = none if not tau1 else (
-                ec1 * u1[:, 0] * u1[:, 1]).reshape(3, -1).tolist()
+                ec1 * u1[..., 0] * u1[..., 1]).tolist()
             w2 = none if not tau2 else (
-                ec2 * u2[:, 1] * u2[:, 2]).reshape(3, -1).tolist()
+                ec2 * u2[..., 1] * u2[..., 2]).tolist()
         ks, nodes = [], []
         put_k, put_node = ks.extend, nodes.extend
         for f1, f1h, f11, f2, f2h, f21 in zip(*w1, *w2):

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from planktonfish import scenario as scenario_mod
-from planktonfish import verify
+from planktonfish import simulate, verify
 from planktonfish.certificate import build_certificate
 from planktonfish.cli import main
 from planktonfish.errors import (CertificateError, DomainError,
@@ -384,6 +384,33 @@ class TestRunScenario:
         code, files = run_scenario(cfg, out_dir=tmp_path / "out")
         assert code == EXIT_VIOLATION
         assert "envelope check: FAIL" in files["report"].read_text()
+
+    def test_positivity_violation_exits_3(self, tmp_path, monkeypatch):
+        # the README scenario with a negative positivity tolerance, which
+        # every non-negative trajectory violates
+        monkeypatch.setattr(simulate, "POSITIVITY_TOL", -1.0)
+        tree = {"params": CASE2,
+                "history": {"preset": "equilibrium_plus_constant",
+                            "offsets": [1e-5, 5e-6, 1e-5]},
+                "horizon": 5.0}
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        code, files = run_scenario(cfg, out_dir=tmp_path / "out")
+        assert code == EXIT_VIOLATION
+        report = files["report"].read_text()
+        assert "positivity/boundedness: FAIL" in report
+        assert "envelope check: PASS" in report
+
+    def test_set_the_lemma_calls_unstable_is_not_certified(self, tmp_path):
+        # d2 one ulp above e2*c2*y0 passes the certificate's gap check
+        params = dict(CASE2, d2=0.4048374180359596)
+        assert lemma_classify(derive_params(**params)).kind == "Unstable"
+        cfg = _write_config(tmp_path / "c.yaml",
+                            {"params": params, "horizon": 1.0})
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_INADMISSIBLE
+        assert (out / "certificate.txt").read_text().startswith(
+            "certificate not constructed: certificate inapplicable: verdict "
+            "Unstable")
 
     def test_sweep_loads_the_scenario_once_per_row(self, small_config,
                                                    tmp_path, monkeypatch):

@@ -30,7 +30,10 @@ def _reference_integrate(p, hist, t_end, step=None):
     """Per-step RK4 with one scalar Hermite lookup per delayed value.
 
     The straightforward method of steps that ``integrate`` must reproduce
-    bit for bit; returns ``(states, derivs)``.
+    bit for bit; returns ``(states, derivs)``.  The delayed value of row
+    i at stage offset off sits at position i + off - tau/h: node
+    k = i + floor(off - tau/h) plus the fraction u, or the history at the
+    stage time when k < 0.
     """
     n = math.ceil(t_end / (default_step(p) if step is None else step)
                   - 1e-12)
@@ -41,14 +44,12 @@ def _reference_integrate(p, hist, t_end, step=None):
     states = [tuple(float(v) for v in hist(0.0))]
     derivs = []
 
-    def lookup(s, completed):
-        # value at time s: history for s < 0, Hermite on completed nodes else
-        if s < 0.0:
-            return hist(s)
-        k = int(s / h)
-        if k >= completed:
-            return states[completed]
-        u = s / h - k
+    def lookup(i, off, tau):
+        c = off - tau / h
+        j = math.floor(c)
+        k, u = i + j, c - j
+        if k < 0:
+            return hist(min((i * h + off * h) - tau, 0.0))
         u2, u3 = u * u, u * u * u
         h00 = 2.0 * u3 - 3.0 * u2 + 1.0
         h10 = u3 - 2.0 * u2 + u
@@ -60,14 +61,14 @@ def _reference_integrate(p, hist, t_end, step=None):
                 h00 * a[1] + h10 * h * fa[1] + h01 * b[1] + h11 * h * fb[1],
                 h00 * a[2] + h10 * h * fa[2] + h01 * b[2] + h11 * h * fb[2])
 
-    def f(t, state, completed):
+    def f(i, off, state):
         x, y, z = state
         if tau1 > 0.0:
-            x1, y1, _ = lookup(t - tau1, completed)
+            x1, y1, _ = lookup(i, off, tau1)
         else:
             x1, y1 = x, y
         if tau2 > 0.0:
-            _, y2, z2 = lookup(t - tau2, completed)
+            _, y2, z2 = lookup(i, off, tau2)
         else:
             y2, z2 = y, z
         return (r * x * (1.0 - x / K) - c1 * x * y,
@@ -75,19 +76,18 @@ def _reference_integrate(p, hist, t_end, step=None):
                 -d2 * z + e2 * c2 * y2 * z2)
 
     for i in range(n):
-        t = i * h
         y0 = states[i]
-        k1 = f(t, y0, i)
+        k1 = f(i, 0.0, y0)
         derivs.append(k1)
-        k2 = f(t + 0.5 * h, tuple(y0[j] + 0.5 * h * k1[j] for j in range(3)), i)
-        k3 = f(t + 0.5 * h, tuple(y0[j] + 0.5 * h * k2[j] for j in range(3)), i)
-        k4 = f(t + h, tuple(y0[j] + h * k3[j] for j in range(3)), i)
+        k2 = f(i, 0.5, tuple(y0[j] + 0.5 * h * k1[j] for j in range(3)))
+        k3 = f(i, 0.5, tuple(y0[j] + 0.5 * h * k2[j] for j in range(3)))
+        k4 = f(i, 1.0, tuple(y0[j] + h * k3[j] for j in range(3)))
         nxt = tuple(y0[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
                     for j in range(3))
         if not all(math.isfinite(v) for v in nxt):
-            raise IntegrationError(f"non-finite state at t = {t + h:g}")
+            raise IntegrationError(f"non-finite state at t = {i * h + h:g}")
         states.append(nxt)
-    derivs.append(f(n * h, states[n], n))
+    derivs.append(f(n, 0.0, states[n]))
     return np.array(states), np.array(derivs)
 
 
@@ -475,20 +475,65 @@ class TestIntegrate:
         ((0.1, 0.1), 1), ((0.1, 0.1234), 2), ((0.3, 0.05), 2),
         ((0.0, 0.1), 1), ((0.1, 0.0), 1),
     ])
-    def test_dense_lookups_per_block(self, monkeypatch, taus, per_block):
-        calls, dense = [], simulate._dense
+    def test_delayed_lookups_per_block(self, monkeypatch, taus, per_block):
+        calls, delayed = [], simulate._delayed
 
         def counting(*args):
-            calls.append(args[-1].size)
-            return dense(*args)
+            out = delayed(*args)
+            calls.append(out.shape[0] * out.shape[1])
+            return out
 
-        monkeypatch.setattr(simulate, "_dense", counting)
+        monkeypatch.setattr(simulate, "_delayed", counting)
         p = _readme_params(*taus)
         traj = integrate(p, History.constant(p, (0.5, 0.3, 0.2)), 2.0)
         n = traj.states.shape[0] - 1
         block = math.floor(min(t for t in taus if t > 0.0) / traj.step) - 2
         assert len(calls) == per_block * math.ceil((n + 1) / block)
         assert sum(calls) == per_block * 3 * (n + 1)
+
+    def test_on_mesh_delay_reads_nodes_exactly(self, monkeypatch):
+        # tau/h = 200 exactly: the stage-0 and stage-1 rows of row i are
+        # the nodes i - 200 and i - 199, the history before them
+        blocks, delayed = [], simulate._delayed
+
+        def keeping(states, derivs, h, hist, tau, stencil, i0, i1):
+            out = delayed(states, derivs, h, hist, tau, stencil, i0, i1)
+            blocks.append((i0, i1, out))
+            return out
+
+        monkeypatch.setattr(simulate, "_delayed", keeping)
+        p = _readme_params()
+        hist = History.equilibrium_plus_sine(p, (0.02, 0.01, 0.0), 7.0,
+                                             phase=0.3)
+        traj = integrate(p, hist, 1.0)
+        h, m = traj.step, 200
+        assert p.tau1 / h == m
+        for i0, i1, out in blocks:
+            for plane, shift in ((out[0], m), (out[2], m - 1)):
+                i = np.arange(i0, i1)
+                on = i >= shift
+                assert np.array_equal(plane[on], traj.states[i[on] - shift])
+                stage = i[~on] * h + (m - shift) * h - p.tau1
+                assert np.array_equal(plane[~on],
+                                      hist.eval_many(np.minimum(stage, 0.0)))
+
+    def test_off_mesh_delay_reads_a_constant_fraction(self):
+        p = _readme_params(0.1, 0.1234)
+        traj = integrate(p, History.constant(p, (0.5, 0.3, 0.2)), 3.0)
+        h, n, tau = traj.step, traj.states.shape[0] - 1, p.tau2
+        stencil = simulate._stencil(tau, h)
+        out = simulate._delayed(traj.states, traj.derivs, h, traj.history,
+                                tau, stencil, 0, n + 1)
+        i = np.arange(n + 1)
+        for plane, (off, j, u) in zip(out, stencil):
+            assert 0.0 < u < 1.0
+            stage = (i * h + off * h) - tau
+            # every row sits at node i + j plus the same fraction u
+            q = stage / h
+            assert np.array_equal(np.floor(q), i + j)
+            assert np.abs(q - np.floor(q) - u).max() <= 1e-9
+            expected = traj.sample_many(stage)
+            assert (np.abs(plane - expected) <= 1e-14 * np.abs(expected)).all()
 
     @pytest.mark.parametrize("x_start, message", [
         (1e150, "non-finite state at t = 0.0005"),
