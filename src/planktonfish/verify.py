@@ -255,7 +255,7 @@ def eval_V_along(traj: Trajectory, cert: LKCertificate, ts,
 
 def solver_error_estimate(traj: Trajectory) -> float:
     """Crude one-step error scale of the 4th-order fixed-step solver."""
-    scale = max(1.0, float(np.abs(traj.states).max()))
+    scale = max(1.0, traj.observed_max_abs)
     return traj.step ** 4 * scale
 
 
@@ -297,7 +297,7 @@ def check_differential_inequality(traj: Trajectory,
     V, dV = eval_V_along(traj, cert, times)
     lin = cert.lin
     norms = [np.linalg.norm(m, 2) for m in (cert.H, lin.A, lin.B1, lin.B2)]
-    floor = float(16.0 * (2.0 ** -52 * np.abs(traj.states).max()) ** 2
+    floor = float(16.0 * (2.0 ** -52 * traj.observed_max_abs) ** 2
                   * norms[0] * (sum(norms[1:]) + cert.m1 + cert.m2))
     decay = cert.epsilon * V
     slack = (-decay + cert.q * V ** 1.5

@@ -584,7 +584,7 @@ class TestDenseOutput:
                                              2.0)
         traj = integrate(case2_params, hist, 2.0)
         for k in (0, 7, traj.states.shape[0] - 1):
-            assert traj.sample(float(traj.times[k])) == tuple(traj.states[k])
+            assert traj.sample(traj.step * k) == tuple(traj.states[k])
 
     def test_negative_times_delegate_to_history(self, case2_params):
         hist = History.equilibrium_plus_constant(case2_params, (0.01, 0.0, 0.0))
@@ -630,11 +630,56 @@ class TestDenseOutput:
             writer = csv.writer(fh)
             writer.writerow(["t", "x", "y", "z"])
             for i in range(0, traj.states.shape[0], 7):
-                writer.writerow([f"{traj.times[i]:.17g}"]
+                writer.writerow([f"{traj.step * i:.17g}"]
                                 + [f"{v:.17g}" for v in traj.states[i]])
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         assert rows.shape[0] == len(range(0, traj.states.shape[0], 7))
         assert path.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    @pytest.mark.parametrize("stride", [1, 2, 7, None])
+    def test_csv_chunk_boundaries(self, case2_params, tmp_path, monkeypatch,
+                                  chunk, stride):
+        # rows split into chunks of 1, 3 or 4096 write the bytes of a
+        # per-row writer with t = step * i; None is a stride above n
+        hist = History.equilibrium_plus_constant(case2_params, (0.01, 0.0, 0.0))
+        traj = integrate(case2_params, hist, 1.0)
+        n = traj.states.shape[0]
+        stride = n + 1 if stride is None else stride
+        monkeypatch.setattr(simulate, "_CSV_CHUNK", chunk)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path, stride=stride)
+        expected = "t,x,y,z\r\n" + "".join(
+            "%.17g,%.17g,%.17g,%.17g\r\n" % (traj.step * i, *traj.states[i])
+            for i in range(0, n, stride))
+        assert path.read_bytes() == expected.encode()
+
+
+def _bit_pattern(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestRecordedExtrema:
+    @pytest.mark.parametrize("kind", ["negative", "signed_zeros", "zeros",
+                                      "negative_zeros"])
+    def test_extrema_equal_a_scan_of_the_states(self, case2_params, kind):
+        rng = np.random.default_rng(5)
+        states = {
+            "negative": rng.normal(size=(50, 3)),
+            "signed_zeros": np.array([[0.0, -0.0, -2.5], [-0.0, 0.0, -0.0],
+                                      [1.5, -0.0, 0.0]]),
+            "zeros": np.zeros((4, 3)),
+            "negative_zeros": np.full((4, 3), -0.0),
+        }[kind]
+        hist = History.constant(case2_params, (0.1, 0.1, 0.1))
+        traj = simulate.Trajectory(case2_params, hist, 0.01, states,
+                                   np.zeros_like(states))
+        assert (_bit_pattern(traj.observed_inf)
+                == _bit_pattern(states.min(axis=0)))
+        assert (_bit_pattern(traj.observed_sup)
+                == _bit_pattern(states.max(axis=0)))
+        assert (_bit_pattern(traj.observed_max_abs)
+                == _bit_pattern(float(np.abs(states).max())))
 
 
 class TestPositivity:
@@ -660,6 +705,24 @@ class TestPositivity:
         assert report.observed_min >= -1e-9
         assert traj.states[:, 0].max() <= report.x_bound + 1e-6
         assert report.x_bound == pytest.approx(1.8)
+
+    @pytest.mark.parametrize("K, x_peak, passed", [
+        (1e-3, 1e-3 * (1.0 + 1e-4), False),  # 1e-6 absolute would pass it
+        (1e3, 1e3 + 1e-4, True),  # 1e-6 absolute would fail it
+    ])
+    def test_logistic_tolerance_scales_with_the_bound(self, K, x_peak, passed):
+        p = derive_params(r=1, K=K, c1=0, c2=0, d1=1, d2=1, b1=0, b2=0,
+                          tau1=0.1, tau2=0.1)
+        hist = History.constant(p, (0.5 * K, 0.0, 0.0))
+        states = np.array([[0.5 * K, 0.0, 0.0], [x_peak, 0.0, 0.0],
+                           [0.9 * K, 0.0, 0.0]])
+        traj = simulate.Trajectory(p, hist, 0.005, states,
+                                   np.zeros_like(states))
+        report = check_positivity_boundedness(traj, p)
+        assert report.x_bound == K
+        assert report.passed is passed
+        assert any("logistic bound" in m
+                   for m in report.messages) is not passed
 
     def test_logistic_bound_takes_the_exact_sup(self, case2_params):
         # a phi peak above K midway between two points of a 257-point grid

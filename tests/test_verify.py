@@ -7,13 +7,15 @@ import pytest
 
 from planktonfish import (DomainError, History, build_certificate,
                           check_differential_inequality, check_envelope,
-                          check_initial_conditions, derive_params, eval_V0,
+                          check_initial_conditions,
+                          check_positivity_boundedness, derive_params, eval_V0,
                           eval_V_along, extend_history,
                           gronwall_bound, integrate, plankton_only_point,
                           predicted_envelope)
 from planktonfish.verify import (CHECK_TIMES, V_CHUNK, V_QUAD_SUBINTERVALS,
                                  _quadratic_forms, _simpson_weights,
                                  condition_rhs, default_sampling,
+                                 solver_error_estimate,
                                  write_verification_csv)
 
 from conftest import admissible_perturbation, grid_max_abs_deviation
@@ -485,6 +487,21 @@ class TestExactRate:
         assert 0.0 < dineq.floor < 1e-6 * decay.min()
         assert dineq.passed
         assert 1.0 < dineq.observed_decay_ratio < math.inf
+
+    def test_recorded_extrema_give_the_scanned_values(self, readme_run):
+        # the checks read the trajectory's recorded extrema; they equal a
+        # scan of the states
+        p, cert, traj = readme_run
+        max_abs = np.abs(traj.states).max()
+        assert (check_positivity_boundedness(traj, p).observed_min
+                == float(traj.states.min()))
+        assert (solver_error_estimate(traj)
+                == traj.step ** 4 * max(1.0, float(max_abs)))
+        lin = cert.lin
+        norms = [np.linalg.norm(m, 2) for m in (cert.H, lin.A, lin.B1, lin.B2)]
+        assert check_differential_inequality(traj, cert).floor == float(
+            16.0 * (2.0 ** -52 * max_abs) ** 2 * norms[0]
+            * (sum(norms[1:]) + cert.m1 + cert.m2))
 
     @pytest.mark.parametrize("horizon", [0.001, 5.0])
     def test_equilibrium_start(self, case2_params, case2_cert, horizon):
