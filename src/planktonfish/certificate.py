@@ -111,46 +111,39 @@ class GenericCheckResult:
     failure: str | None
 
 
-def _stability_margins(p: ModelParams, lin: LinearizedSystem) -> tuple[float, float]:
-    """The two gaps of the delay-independent stability inequalities."""
-    a = p.r * lin.x0 / p.K
-    gap1 = min(p.c1 * lin.y0, 2.0 * a - p.c1 * lin.y0)
-    gap2 = min(p.e2 * p.c2 * lin.y0, p.d2 - p.e2 * p.c2 * lin.y0)
-    return gap1, gap2
-
-
 def choose_rates(p: ModelParams,
                  options: CertificateOptions | None = None) -> tuple[float, float]:
     """Exponential kernel rates m1, m2, strictly inside their admissible range.
 
-    m2 comes from requiring e2*c2*y0*exp(m2*tau2/2) < d2; m1 from the pair
-    of inequalities bounding exp(-m1*tau1) from below.  Defaults take half
+    The gate is the lemma's verdict AsymptoticallyStable plus e2*c2 > 0,
+    which m2 and beta divide by and the lemma does not imply.  m2 comes
+    from requiring e2*c2*y0*exp(m2*tau2/2) < d2; m1 from the pair of
+    inequalities bounding exp(-m1*tau1) from below.  Defaults take half
     the supremum of each.
     """
     options = options or CertificateOptions()
-    lin = linearize(p)
-    gap1, gap2 = _stability_margins(p, lin)
-    if gap1 <= 0.0 or gap2 <= 0.0:
-        failed = ("0 < c1*y0 < 2*r*x0/K" if gap1 <= 0.0
-                  else "0 < e2*c2*y0 < d2")
-        raise CertificateError(
-            f"certificate inapplicable: inequality {failed} fails")
-    # the gaps restate the lemma's rule; at its rounding boundary only the
-    # lemma's verdict decides
     verdict = lemma_classify(p)
     if verdict.kind != "AsymptoticallyStable":
         raise CertificateError(f"certificate inapplicable: verdict "
                                f"{verdict.kind} ({verdict.witness})")
+    if not p.e2 * p.c2 > 0.0:
+        raise CertificateError("certificate inapplicable: e2*c2 = 0")
     if p.tau1 == 0.0 or p.tau2 == 0.0:
         raise DomainError(
             "certificate construction requires tau1 > 0 and tau2 > 0; "
             "pass a small positive delay to approximate the zero-delay case")
+    lin = linearize(p)
     a = p.r * lin.x0 / p.K
     rho = max(((a - p.c1 * lin.y0) / a) ** 2,
               p.d1 ** 2 / (a * a + p.d1 ** 2))
     m1 = -options.m_fraction * math.log(rho) / p.tau1
     m2 = 2.0 * options.m_fraction * math.log(
         p.d2 / (p.e2 * p.c2 * lin.y0)) / p.tau2
+    # a few ulps inside the lemma's stable side, rounding can empty a range
+    for name, m in (("m1", m1), ("m2", m2)):
+        if not m > 0.0:
+            raise CertificateError(f"certificate inapplicable: rate {name} "
+                                   f"= {m:.17g} is not positive")
     return m1, m2
 
 

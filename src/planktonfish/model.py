@@ -126,29 +126,30 @@ def coexistence_threshold(p: ModelParams) -> float:
 
 
 def plankton_only_point(p: ModelParams) -> tuple[float, float]:
-    """The (x0, y0) equilibrium with phytoplankton and zooplankton only."""
-    if p.e1 * p.c1 <= 0.0:
-        raise DomainError("plankton-only point requires e1*c1 > 0")
-    if p.d1 > p.e1 * p.c1 * p.K:
-        raise DomainError(
-            f"plankton-only point requires d1 <= e1*c1*K "
-            f"({p.d1} > {p.e1 * p.c1 * p.K})")
+    """The (x0, y0) equilibrium with phytoplankton and zooplankton only.
+
+    It exists iff d1 < e1*c1*K (so not where e1*c1 = 0); else DomainError.
+    """
+    u = p.e1 * p.c1 * p.K
+    if not p.d1 < u:
+        raise DomainError(f"plankton-only point requires d1 < e1*c1*K "
+                          f"({p.d1} >= {u})")
     x0 = p.d1 / (p.e1 * p.c1)
-    y0 = (p.r / p.c1) * (1.0 - p.d1 / (p.e1 * p.c1 * p.K))
+    y0 = (p.r / p.c1) * (1.0 - p.d1 / u)
     return x0, y0
 
 
 def classify_equilibria(p: ModelParams) -> EquilibriumSet:
     """Enumerate the non-negative equilibria and identify the case."""
-    u = p.e1 * p.c1 * p.K
     t = coexistence_threshold(p)
     points: list[tuple[str, State]] = [
         ("extinction", (0.0, 0.0, 0.0)),
         ("phyto-only", (p.K, 0.0, 0.0)),
     ]
-    if p.d1 >= u:
+    try:
+        x0, y0 = plankton_only_point(p)
+    except DomainError:
         return EquilibriumSet(case_id=1, points=points)
-    x0, y0 = plankton_only_point(p)
     points.append(("plankton-only", (x0, y0, 0.0)))
     if p.d1 < t:
         xs = p.K * (1.0 - p.c1 * p.d2 / (p.e2 * p.c2 * p.r))

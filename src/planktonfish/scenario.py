@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,14 +54,14 @@ class ConfigError(ValueError):
 @dataclass
 class Scenario:
     params: dict
-    history_preset: str = "equilibrium_plus_constant"
-    history_args: dict = field(default_factory=dict)
-    horizon: float = 50.0
-    step_divisor: int = 20
-    stride: int = 1
-    options: CertificateOptions = field(default_factory=CertificateOptions)
-    out_dir: str = "out"
-    files: tuple = _OUTPUT_FILES
+    history_preset: str
+    history_args: dict
+    horizon: float
+    step_divisor: int
+    stride: int
+    options: CertificateOptions
+    out_dir: str
+    files: tuple
 
 
 def _require(mapping, key, where):

@@ -330,6 +330,10 @@ def integrate(p: ModelParams, hist: History, t_end: float,
     and collects the block's derivatives and nodes in flat lists.  A
     zero delay's coupling term is local and is evaluated in the loop
     from the stage state.
+
+    It takes n = ceil(t_end / step) steps of length t_end / n: a horizon
+    shorter than one step runs one step of that length, and a step so
+    short that delay / step overflows raises DomainError.
     """
     if t_end <= 0.0:
         raise DomainError("t_end must be positive")
@@ -340,8 +344,11 @@ def integrate(p: ModelParams, hist: History, t_end: float,
     if pos_taus and h_target > min(pos_taus) / 20.0 * (1.0 + 1e-12):
         raise DomainError(f"step {h_target} exceeds smallest positive "
                           f"delay / 20 = {min(pos_taus) / 20.0}")
-    n = math.ceil(t_end / h_target - 1e-12)
+    n = max(1, math.ceil(t_end / h_target - 1e-12))
     h = t_end / n
+    if pos_taus and math.isinf(max(pos_taus) / h):
+        raise DomainError(f"step {h!r} is too short for the delay "
+                          f"{max(pos_taus)!r} (delay / step overflows)")
     block = math.floor(min(pos_taus) / h) - 2 if pos_taus else n + 1
 
     r, K, c1, c2 = p.r, p.K, p.c1, p.c2

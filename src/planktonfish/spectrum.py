@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .model import LinearizedSystem, ModelParams, coexistence_threshold
+from .model import (LinearizedSystem, ModelParams, coexistence_threshold,
+                    plankton_only_point)
 
 Rect = tuple[float, float, float, float]  # (re_min, re_max, im_min, im_max)
 
@@ -81,17 +82,14 @@ def _q_vec(lam: np.ndarray, lin: LinearizedSystem, p: ModelParams) -> np.ndarray
 def lemma_classify(p: ModelParams) -> StabilityVerdict:
     """Delay-independent verdict for the plankton-only equilibrium.
 
-    Strict inequalities on both sides; anything between the instability
-    and stability thresholds is reported as delay dependent.
+    Raises DomainError where the point does not exist.  Strict inequalities
+    on both sides; a d1 between the two thresholds is delay dependent.
     """
+    plankton_only_point(p)
     u = p.e1 * p.c1 * p.K
-    if p.e1 * p.c1 <= 0.0:
-        raise DomainError("classification requires e1*c1 > 0")
-    if p.d1 > u:
-        raise DomainError(f"classification requires d1 <= e1*c1*K ({p.d1} > {u})")
     t = coexistence_threshold(p)
-    lower = u * max(1.0 / 3.0, -math.inf if t == -math.inf else t / u)
-    if lower < p.d1 < u:
+    lower = u * max(1.0 / 3.0, t / u)
+    if lower < p.d1:
         return StabilityVerdict(
             "AsymptoticallyStable",
             f"e1*c1*K*max(1/3, 1 - c1*d2/(e2*c2*r)) = {lower:.17g} "

@@ -1,5 +1,6 @@
 import csv
 import inspect
+import math
 import re
 import warnings
 
@@ -282,6 +283,29 @@ class TestRunScenario:
         report = (tmp_path / "out" / "report.txt").read_text()
         assert "differential inequality: PASS" in report
 
+    # a horizon below one step runs one step of its length; at 5e-324 the
+    # step is too short for tau = 0.1 (delay / step overflows)
+    @pytest.mark.parametrize("horizon, code", [(1e-16, EXIT_OK),
+                                               (1e-300, EXIT_OK),
+                                               (5e-324, EXIT_INPUT)])
+    def test_horizon_below_one_step(self, tmp_path, capsys, horizon, code):
+        tree = {"params": CASE2, "horizon": horizon,
+                "history": {"preset": "equilibrium_plus_constant",
+                            "offsets": [1e-5, 5e-6, 1e-5]},
+                "outputs": {"dir": str(tmp_path / "out")}}
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        assert main(["run", cfg]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        if code == EXIT_OK:
+            report = (tmp_path / "out" / "report.txt").read_text()
+            assert "envelope check: PASS" in report
+            assert "differential inequality: PASS" in report
+        else:
+            assert captured.out == ("input error: step 5e-324 is too short "
+                                    "for the delay 0.1 (delay / step "
+                                    "overflows)\n")
+
     # a repeated theta (CubicSpline) and a non-numeric cell (np.loadtxt)
     @pytest.mark.parametrize("bad_row", ["-0.1,0.5,0.3,0.1",
                                          "-0.05,0.5,abc,0.1"])
@@ -400,8 +424,45 @@ class TestRunScenario:
         assert "positivity/boundedness: FAIL" in report
         assert "envelope check: PASS" in report
 
+    def test_boundary_mortality_is_inapplicable(self, tmp_path):
+        # d1 = e1*c1*K exactly: the plankton-only point does not exist
+        tree = {"params": dict(CASE2, d1=3.0 * math.exp(-0.1)),
+                "history": {"preset": "constant", "values": [0.5, 0.2, 0.1]},
+                "horizon": 1.0}
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_INADMISSIBLE
+        text = (out / "equilibria.txt").read_text()
+        assert text.startswith("case: 1\n")
+        assert ("verdict: inapplicable (plankton-only point requires d1 < "
+                "e1*c1*K (") in text
+        assert "gap" not in text
+
+    def test_boundary_mortality_has_no_preset_history(self, tmp_path,
+                                                      capsys):
+        tree = {"params": dict(CASE2, d1=3.0 * math.exp(-0.1)),
+                "horizon": 1.0, "outputs": {"dir": str(tmp_path / "out")}}
+        assert main(["run", _write_config(tmp_path / "c.yaml", tree)]) \
+            == EXIT_INPUT
+        assert capsys.readouterr().out.startswith(
+            "input error: invalid history: plankton-only point requires "
+            "d1 < e1*c1*K")
+
+    @pytest.mark.parametrize("rate", ["c2", "b2"])
+    def test_set_without_fish_uptake_is_not_certified(self, tmp_path, rate):
+        params = dict(CASE2, **{rate: 0.0})
+        assert lemma_classify(derive_params(**params)).kind == \
+            "AsymptoticallyStable"
+        cfg = _write_config(tmp_path / "c.yaml",
+                            {"params": params, "horizon": 1.0})
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_INADMISSIBLE
+        assert (out / "certificate.txt").read_text() == (
+            "certificate not constructed: certificate inapplicable: "
+            "e2*c2 = 0\n")
+
     def test_set_the_lemma_calls_unstable_is_not_certified(self, tmp_path):
-        # d2 one ulp above e2*c2*y0 passes the certificate's gap check
+        # d2 one ulp above e2*c2*y0: the lemma calls the set Unstable
         params = dict(CASE2, d2=0.4048374180359596)
         assert lemma_classify(derive_params(**params)).kind == "Unstable"
         cfg = _write_config(tmp_path / "c.yaml",
@@ -488,7 +549,7 @@ class TestSweep:
         assert "AsymptoticallyStable" in rows[2]
         # the plankton-only point is gone, and with it the preset history
         assert rows[3].startswith("5,error: invalid history: plankton-only "
-                                  "point requires d1 <= e1*c1*K")
+                                  "point requires d1 < e1*c1*K")
         assert rows[3].endswith(f",,,,,,,{EXIT_INPUT}")
 
     def test_inapplicable_row_keeps_its_verdict(self, tmp_path):

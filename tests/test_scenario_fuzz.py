@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from planktonfish.scenario import (EXIT_INADMISSIBLE, EXIT_INPUT, EXIT_OK,
@@ -72,6 +72,8 @@ def mutated_trees(draw):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(tree=mutated_trees())
+# a horizon below 1e-12 steps once made the step count 0
+@example(tree=dict(README_TREE, horizon=8.567854131996029e-304))
 def test_mutated_readme_scenario_exits_cleanly(tree):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp, "scenario.yaml")

@@ -461,6 +461,22 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(case2_params, hist, 1.0, step=-0.001)
 
+    @pytest.mark.parametrize("t_end", [1e-16, 1e-300])
+    def test_horizon_below_one_step_runs_one_step(self, case2_params, t_end):
+        hist = History.equilibrium_plus_constant(case2_params, (0.01, 0.0, 0.0))
+        traj = integrate(case2_params, hist, t_end)
+        assert traj.step == t_end
+        assert traj.states.shape == (2, 3)
+        assert np.isfinite(traj.states).all()
+
+    def test_step_too_short_for_the_delay_is_domain_error(self, case2_params):
+        # 0.1 / 5e-324 overflows, so the delay has no place on the mesh
+        hist = History.equilibrium_plus_constant(case2_params, (0.01, 0.0, 0.0))
+        with pytest.raises(DomainError) as raised:
+            integrate(case2_params, hist, 5e-324)
+        assert str(raised.value) == ("step 5e-324 is too short for the delay "
+                                     "0.1 (delay / step overflows)")
+
     @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
     def test_matches_per_step_reference(self, case):
         p, make_history, t_end, step = _REFERENCE_CASES[case]
