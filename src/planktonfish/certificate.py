@@ -134,22 +134,29 @@ def choose_rates(p: ModelParams,
             "pass a small positive delay to approximate the zero-delay case")
     lin = linearize(p)
     a = p.r * lin.x0 / p.K
+    e2c2y0 = p.e2 * p.c2 * lin.y0
+    if not (a > 0.0 and e2c2y0 > 0.0):
+        raise CertificateError(f"certificate inapplicable: r*x0/K = {a!r} "
+                               f"or e2*c2*y0 = {e2c2y0!r} underflows to 0")
     rho = max(((a - p.c1 * lin.y0) / a) ** 2,
               p.d1 ** 2 / (a * a + p.d1 ** 2))
     m1 = -options.m_fraction * math.log(rho) / p.tau1
-    m2 = 2.0 * options.m_fraction * math.log(
-        p.d2 / (p.e2 * p.c2 * lin.y0)) / p.tau2
-    # a few ulps inside the lemma's stable side, rounding can empty a range
+    m2 = 2.0 * options.m_fraction * math.log(p.d2 / e2c2y0) / p.tau2
+    # a few ulps inside the lemma's stable side, rounding can empty a
+    # range; a tiny delay can make a rate overflow
     for name, m in (("m1", m1), ("m2", m2)):
-        if not m > 0.0:
+        if not 0.0 < m < math.inf:
             raise CertificateError(f"certificate inapplicable: rate {name} "
-                                   f"= {m:.17g} is not positive")
+                                   f"= {m:.17g} is not positive and finite")
     return m1, m2
 
 
 def build_certificate(p: ModelParams,
                       options: CertificateOptions | None = None) -> LKCertificate:
-    """Construct the full certificate for a delay-independent stable set."""
+    """Construct the full certificate for a delay-independent stable set.
+
+    A set whose arithmetic leaves float range is a CertificateError.
+    """
     options = options or CertificateOptions()
     if not 0.0 < options.mu_fraction < 0.5:
         raise DomainError("mu_fraction must lie in (0, 1/2)")
@@ -159,6 +166,14 @@ def build_certificate(p: ModelParams,
         raise DomainError("alpha must be positive and finite")
     if not 0.0 < options.h33_factor < math.inf:
         raise DomainError("h33_factor must be positive and finite")
+    try:
+        return _construct(p, options)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise CertificateError(f"certificate inapplicable: not representable "
+                               f"in floating point ({exc.args[-1]})") from None
+
+
+def _construct(p: ModelParams, options: CertificateOptions) -> LKCertificate:
     m1, m2 = choose_rates(p, options)
     lin = linearize(p)
     x0, y0 = lin.x0, lin.y0
@@ -225,6 +240,8 @@ def build_certificate(p: ModelParams,
     if not (a * a * em1 > (a - p.c1 * y0) ** 2
             and (a * a + p.d1 ** 2) * em1 > p.d1 ** 2):
         _fail("m1 inequalities")
+    if not (math.isfinite(beta) and math.isfinite(q)):
+        _fail("beta and q finite")
 
     return LKCertificate(
         params=p, lin=lin, x0=x0, y0=y0, alpha=alpha, beta=beta,

@@ -10,20 +10,23 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import tempfile
 
 import numpy as np
 
 from . import scenario as scenario_mod
-from . import verify
-from .certificate import assemble_C, build_certificate
+from .certificate import CertificateOptions, assemble_C
 from .model import classify_equilibria, derive_params, linearize, rhs
-from .scenario import EXIT_INPUT, ConfigError
+from .scenario import EXIT_INPUT, EXIT_OK, ConfigError
 from .simulate import History, integrate
 from .spectrum import eval_Q, eval_factors, lemma_classify, root_scan
 
 
 def self_check() -> bool:
-    """Reduced built-in acceptance run; prints one line per check."""
+    """Reduced built-in acceptance run; prints one line per check.
+
+    The last two checks read one pipeline run of the README scenario.
+    """
     rng = np.random.default_rng(20240817)
     results = []
 
@@ -44,9 +47,10 @@ def self_check() -> bool:
             ok &= max(abs(v) for v in rhs(point, point, point, p)) <= 1e-12
     record("equilibria zero the dynamics", ok)
 
-    # quasi-polynomial factorization
-    p = derive_params(r=1, K=1, c1=1, c2=1, d1=1.5, d2=1, b1=3, b2=1,
-                      tau1=0.1, tau2=0.1)
+    # quasi-polynomial factorization, on the README rates
+    rates = dict(r=1.0, K=1.0, c1=1.0, c2=1.0, d1=1.5, d2=1.0, b1=3.0,
+                 b2=1.0, tau1=0.1, tau2=0.1)
+    p = derive_params(**rates)
     lin = linearize(p)
     ok = True
     for _ in range(100):
@@ -61,12 +65,6 @@ def self_check() -> bool:
     ok &= root_scan(lin, p).rightmost_real_part < 0
     record("stable verdict confirmed by root scan", ok)
 
-    # certificate and block matrix
-    cert = build_certificate(p)
-    creport = assemble_C(cert)
-    record("certificate block matrix positive definite",
-           creport.positive_definite and cert.sigma > 0)
-
     # solver against the logistic closed form
     p0 = derive_params(r=1, K=1, c1=0, c2=0, d1=1, d2=1, b1=0, b2=0,
                        tau1=0.1, tau2=0.1)
@@ -76,22 +74,16 @@ def self_check() -> bool:
     record("logistic closed-form agreement",
            abs(traj.sample(10.0)[0] - exact) <= 1e-8)
 
-    # one admissible scenario end to end; shrink the perturbation until
-    # all admissibility conditions hold with positive margin
-    delta, theorem, hist = 1e-3, None, None
-    for _ in range(20):
-        hist = History.equilibrium_plus_constant(p, (delta, delta / 2, delta))
-        ext = verify.extend_history(hist, p)
-        theorem = verify.check_initial_conditions(hist, ext, cert, p)
-        if theorem.envelopes_valid:
-            break
-        delta /= 2.0
-    ok = theorem.envelopes_valid
-    if ok:
-        traj = integrate(p, hist, 20.0)
-        ok &= verify.check_envelope(traj, cert, theorem).passed
-        ok &= verify.check_differential_inequality(traj, cert).passed
-    record("admissible scenario envelopes and inequality", ok)
+    # the README scenario end to end, no files written
+    with tempfile.TemporaryDirectory() as tmp:
+        run = scenario_mod.run_loaded_scenario(scenario_mod.Scenario(
+            params=rates, history_preset="equilibrium_plus_constant",
+            history_args={"offsets": (1e-5, 5e-6, 1e-5)}, horizon=20.0,
+            step_divisor=20, stride=1, options=CertificateOptions(),
+            out_dir=tmp, files=()))
+    record("certificate block matrix positive definite",
+           run.cert is not None and assemble_C(run.cert).positive_definite)
+    record("README scenario passes every check", run.code == EXIT_OK)
 
     return all(results)
 

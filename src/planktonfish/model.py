@@ -117,10 +117,10 @@ def rhs(current: State, delayed1: State, delayed2: State, p: ModelParams) -> Sta
 def coexistence_threshold(p: ModelParams) -> float:
     """Threshold on d1 below which the coexistence point exists.
 
-    Collapses to -inf when e2*c2 = 0 (coexistence impossible).
+    Collapses to -inf when its divisor e2*c2*r is 0 (or underflows).
     """
     u = p.e1 * p.c1 * p.K
-    if p.e2 * p.c2 == 0.0:
+    if p.e2 * p.c2 * p.r == 0.0:
         return -math.inf
     return u * (1.0 - p.c1 * p.d2 / (p.e2 * p.c2 * p.r))
 

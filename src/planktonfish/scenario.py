@@ -254,9 +254,9 @@ def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
 
     try:
         p = derive_params(**scenario.params)
-    except (ParameterError, TypeError, OverflowError) as exc:
+        step = default_step(p, scenario.step_divisor)
+    except (ParameterError, DomainError, TypeError, OverflowError) as exc:
         return input_error(exc)
-    step = default_step(p, scenario.step_divisor)
     if not 0.0 < scenario.horizon < math.inf:
         return input_error(f"horizon must be positive and finite, "
                            f"got {scenario.horizon!r}")

@@ -304,9 +304,13 @@ def default_step(p: ModelParams, divisor: int = 20) -> float:
 
     When both delays are positive the step is shortened to
     tau_min / ceil(tau_min / step), so that it divides tau_min exactly.
+    A step of 0, or one that tau_min / step overflows, raises DomainError.
     """
     base = min(v for v in (p.tau1, p.tau2, 0.01) if v > 0.0)
     h0 = base / divisor
+    if not (h0 > 0.0 and p.tau_min / h0 < math.inf):
+        raise DomainError(f"step {base!r} / {divisor} = {h0!r} is too short "
+                          f"for tau_min = {p.tau_min!r}")
     if p.tau_min > 0.0:
         return p.tau_min / math.ceil(p.tau_min / h0)
     return h0
@@ -332,8 +336,8 @@ def integrate(p: ModelParams, hist: History, t_end: float,
     from the stage state.
 
     It takes n = ceil(t_end / step) steps of length t_end / n: a horizon
-    shorter than one step runs one step of that length, and a step so
-    short that delay / step overflows raises DomainError.
+    shorter than one step runs one step of that length, and a step count
+    t_end / step or a delay / step that overflows raises DomainError.
     """
     if t_end <= 0.0:
         raise DomainError("t_end must be positive")
@@ -344,7 +348,11 @@ def integrate(p: ModelParams, hist: History, t_end: float,
     if pos_taus and h_target > min(pos_taus) / 20.0 * (1.0 + 1e-12):
         raise DomainError(f"step {h_target} exceeds smallest positive "
                           f"delay / 20 = {min(pos_taus) / 20.0}")
-    n = max(1, math.ceil(t_end / h_target - 1e-12))
+    steps = t_end / h_target - 1e-12
+    if math.isinf(steps):
+        raise DomainError(f"horizon {t_end!r} / step {h_target!r} overflows "
+                          f"the step count")
+    n = max(1, math.ceil(steps))
     h = t_end / n
     if pos_taus and math.isinf(max(pos_taus) / h):
         raise DomainError(f"step {h!r} is too short for the delay "

@@ -39,7 +39,6 @@ class RootReport:
     roots: list[complex]
     residuals: list[float]
     rightmost_real_part: float
-    search_region: Rect
     counts: list[tuple[Rect, int]] = field(default_factory=list)
 
 
@@ -380,5 +379,4 @@ def root_scan(lin: LinearizedSystem, p: ModelParams,
         residuals.append(res)
     rightmost = max((z.real for z in polished), default=-math.inf)
     return RootReport(roots=polished, residuals=residuals,
-                      rightmost_real_part=rightmost,
-                      search_region=region, counts=counts)
+                      rightmost_real_part=rightmost, counts=counts)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .certificate import LKCertificate, kernel_base
 from .errors import DomainError
-from .model import ModelParams, rhs
+from .model import ModelParams, plankton_only_point, rhs
 from .simulate import History, Trajectory, write_float_rows
 
 V_QUAD_SUBINTERVALS = 128  # per delay window; spec floor is 64
@@ -26,33 +26,19 @@ CHECK_TIMES = 200  # trajectory checks sample t_end/200, ..., t_end
 
 
 class ExtendedHistory:
-    """Shifted initial data, zero-extended outside the delay windows."""
+    """The history's own rows on [-tau_max, 0], less (x0, y0, 0)."""
 
-    def __init__(self, hist: History, p: ModelParams, x0: float, y0: float):
+    def __init__(self, hist: History, x0: float, y0: float):
         self.hist = hist
-        self.p = p
         self.shift = (x0, y0, 0.0)
-        self.windows = hist.windows
 
     def eval_many(self, thetas) -> np.ndarray:
-        """Rows (phi - x0, psi - y0, eta) at each theta, from one history lookup.
-
-        Each component is zero outside its own window.
-        """
-        thetas = np.asarray(thetas, dtype=float)
-        out = np.zeros((thetas.size, 3))
-        inside = (thetas >= -self.p.tau_max) & (thetas <= 0.0)
-        if inside.any():
-            out[inside] = self.hist.eval_many(thetas[inside]) - self.shift
-        for i, (lo, hi) in enumerate(self.windows):
-            out[(thetas < lo) | (thetas > hi), i] = 0.0
-        return out
+        """Rows (phi - x0, psi - y0, eta) at each theta, from one history lookup."""
+        return self.hist.eval_many(thetas) - self.shift
 
 
 def extend_history(hist: History, p: ModelParams) -> ExtendedHistory:
-    from .model import plankton_only_point
-    x0, y0 = plankton_only_point(p)
-    return ExtendedHistory(hist, p, x0, y0)
+    return ExtendedHistory(hist, *plankton_only_point(p))
 
 
 @dataclass
@@ -118,8 +104,7 @@ def _quadratic_forms(values: np.ndarray, base: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk,ik->i", values, base, values)
 
 
-def _functional(lookup, cert: LKCertificate, ts: np.ndarray,
-                subintervals: int) -> np.ndarray:
+def _functional(lookup, cert: LKCertificate, ts: np.ndarray) -> np.ndarray:
     """Lyapunov-Krasovskii functional V and its rate, rows (V, dV/dt) over ``ts``.
 
     ``lookup`` maps an array of times s to the rows u(s) of the deviation
@@ -131,14 +116,14 @@ def _functional(lookup, cert: LKCertificate, ts: np.ndarray,
     the same operations as a single time, so V does not depend on the
     batching.  The rate of these sums is exact: dV/dt = 2 u^T H u' + sum_i
     [integrand_i(t) - integrand_i(t - tau_i) - m_i I_i], u' being ``rhs`` at
-    u(t) and the first nodes u(t - tau_i), plus the shift.
+    u(t) and the first nodes u(t - tau_i), plus the shift.  Every window
+    takes ``V_QUAD_SUBINTERVALS`` subintervals, for V0 and along a run.
     """
-    if subintervals < 64 or subintervals % 2:
-        raise DomainError("subintervals must be an even number >= 64")
+    n = V_QUAD_SUBINTERVALS
     p = cert.params
     shift = np.array([cert.x0, cert.y0, 0.0])
     windows = [(tau, m, kernel_base(cert, which),
-                _simpson_weights(subintervals, tau / subintervals))
+                _simpson_weights(n, tau / n))
                for which, tau, m in ((1, p.tau1, cert.m1),
                                      (2, p.tau2, cert.m2))]
     out = np.empty((2, ts.size))
@@ -146,18 +131,18 @@ def _functional(lookup, cert: LKCertificate, ts: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, ts.size, V_CHUNK):
             t = ts[lo:lo + V_CHUNK]
-            nodes = [np.linspace(t - tau, t, subintervals + 1, axis=1)
+            nodes = [np.linspace(t - tau, t, n + 1, axis=1)
                      for tau, _, _, _ in windows]
-            vals = lookup(np.concatenate([t] + [n.ravel() for n in nodes]))
+            vals = lookup(np.concatenate([t] + [s.ravel() for s in nodes]))
             u = vals[:t.size]
             total = np.array([float(v @ cert.H @ v) for v in u])
             per_window = vals[t.size:].reshape(len(windows), -1, 3)
-            first = [(v[::subintervals + 1] + shift).T for v in per_window]
+            first = [(v[::n + 1] + shift).T for v in per_window]
             du = np.column_stack(rhs((u + shift).T, *first, p))
             rate = 2.0 * np.einsum("ij,jk,ik->i", u, cert.H, du)
-            for (_, m, base, w), n, v in zip(windows, nodes, per_window):
-                integrand = (np.exp(-m * (t[:, None] - n))
-                             * _quadratic_forms(v, base).reshape(n.shape))
+            for (_, m, base, w), s, v in zip(windows, nodes, per_window):
+                integrand = (np.exp(-m * (t[:, None] - s))
+                             * _quadratic_forms(v, base).reshape(s.shape))
                 sums = np.array([float(w @ row) for row in integrand])
                 total += sums
                 rate += integrand[:, -1] - integrand[:, 0] - m * sums
@@ -165,11 +150,9 @@ def _functional(lookup, cert: LKCertificate, ts: np.ndarray,
     return out
 
 
-def eval_V0(ext: ExtendedHistory, cert: LKCertificate,
-            subintervals: int = V_QUAD_SUBINTERVALS) -> float:
-    """Functional value at t = 0 on the extended history."""
-    return float(_functional(ext.eval_many, cert, np.zeros(1),
-                             subintervals)[0][0])
+def eval_V0(ext: ExtendedHistory, cert: LKCertificate) -> float:
+    """Functional value at t = 0 on the initial data."""
+    return float(_functional(ext.eval_many, cert, np.zeros(1))[0][0])
 
 
 def condition_rhs(cert: LKCertificate) -> dict[str, float]:
@@ -218,8 +201,6 @@ def check_initial_conditions(hist: History, ext: ExtendedHistory,
 def predicted_envelope(cert: LKCertificate, V0: float,
                        t: float) -> tuple[float, float, float]:
     """Decay envelopes for |x - x0|, |y - y0|, |z| at time t."""
-    if V0 == 0.0:
-        return (0.0, 0.0, 0.0)
     sqrt_v0 = math.sqrt(V0)
     denom = _attraction_denominator(cert, sqrt_v0)
     if denom <= 0.0:
@@ -233,16 +214,13 @@ def predicted_envelope(cert: LKCertificate, V0: float,
 
 def gronwall_bound(cert: LKCertificate, V0: float, t: float) -> float:
     """Explicit decay bound on V(t) implied by the differential inequality."""
-    if V0 == 0.0:
-        return 0.0
     denom = _attraction_denominator(cert, math.sqrt(V0))
     if denom <= 0.0:
         raise DomainError("bound undefined: sqrt(V0) >= epsilon/q")
     return V0 * math.exp(-cert.epsilon * t) / denom ** 2
 
 
-def eval_V_along(traj: Trajectory, cert: LKCertificate, ts,
-                 subintervals: int = V_QUAD_SUBINTERVALS) -> np.ndarray:
+def eval_V_along(traj: Trajectory, cert: LKCertificate, ts) -> np.ndarray:
     """Rows (V, dV/dt) along the trajectory at each time of ``ts`` in [0, t_end]."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     outside = (ts < 0.0) | (ts > traj.t_end * (1.0 + 1e-12))
@@ -250,7 +228,7 @@ def eval_V_along(traj: Trajectory, cert: LKCertificate, ts,
         raise DomainError(f"t = {float(ts[outside][0])!r} "
                           f"outside [0, {traj.t_end}]")
     return _functional(lambda s: traj.sample_many(s) - (cert.x0, cert.y0, 0.0),
-                       cert, ts, subintervals)
+                       cert, ts)
 
 
 def solver_error_estimate(traj: Trajectory) -> float:

@@ -138,9 +138,9 @@ class TestRunScenario:
         # evaluates V only at t = 0
         sizes, functional = [], verify._functional
 
-        def counting(lookup, cert, ts, subintervals):
+        def counting(lookup, cert, ts):
             sizes.append(ts.size)
-            return functional(lookup, cert, ts, subintervals)
+            return functional(lookup, cert, ts)
 
         monkeypatch.setattr(verify, "_functional", counting)
         tree = {"params": CASE2,

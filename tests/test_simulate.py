@@ -477,6 +477,28 @@ class TestIntegrate:
         assert str(raised.value) == ("step 5e-324 is too short for the delay "
                                      "0.1 (delay / step overflows)")
 
+    def test_overflowing_step_count_is_domain_error(self, case2_params):
+        # 1e308 / 0.0005 overflows before any array is allocated
+        hist = History.equilibrium_plus_constant(case2_params, (0.01, 0.0, 0.0))
+        with pytest.raises(DomainError) as raised:
+            integrate(case2_params, hist, 1e308)
+        assert str(raised.value) == ("horizon 1e+308 / step 0.0005 overflows "
+                                     "the step count")
+
+    @pytest.mark.parametrize("taus, divisor, message", [
+        ((0.1, 5e-324), 20, "step 5e-324 / 20 = 0.0 is too short for "
+                            "tau_min = 5e-324"),
+        ((0.1, 0.1), 10 ** 308, f"step 0.01 / {10 ** 308} = 1e-310 is too "
+                                f"short for tau_min = 0.1"),
+    ], ids=["step_underflows", "tau_min_over_step_overflows"])
+    def test_unrepresentable_default_step_is_domain_error(self, taus, divisor,
+                                                          message):
+        p = derive_params(r=1, K=1, c1=1, c2=1, d1=1.5, d2=1, b1=3, b2=1,
+                          tau1=taus[0], tau2=taus[1])
+        with pytest.raises(DomainError) as raised:
+            default_step(p, divisor)
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
     def test_matches_per_step_reference(self, case):
         p, make_history, t_end, step = _REFERENCE_CASES[case]

@@ -12,6 +12,7 @@ from planktonfish import (DomainError, History, build_certificate,
                           eval_V_along, extend_history,
                           gronwall_bound, integrate, plankton_only_point,
                           predicted_envelope)
+from planktonfish import verify
 from planktonfish.verify import (CHECK_TIMES, V_CHUNK, V_QUAD_SUBINTERVALS,
                                  _quadratic_forms, _simpson_weights,
                                  condition_rhs, default_sampling,
@@ -32,14 +33,6 @@ def admissible(case2_params, case2_cert):
     return case2_params, case2_cert, hist, theorem, delta
 
 
-def _reference_extended(hist, p, theta):
-    """One theta of the extended history, component by component."""
-    x0, y0 = plankton_only_point(p)
-    windows = ((-p.tau1, 0.0), (-p.tau_max, 0.0), (-p.tau2, 0.0))
-    return [hist(theta)[i] - (x0, y0, 0.0)[i] if lo <= theta <= hi else 0.0
-            for i, (lo, hi) in enumerate(windows)]
-
-
 class TestExtendedHistory:
     def test_shifts_by_equilibrium(self, case2_params):
         hist = History.equilibrium_plus_constant(case2_params,
@@ -47,17 +40,6 @@ class TestExtendedHistory:
         ext = extend_history(hist, case2_params)
         assert ext.eval_many([0.0])[0] == pytest.approx([0.02, 0.01, 0.03],
                                                         abs=1e-14)
-
-    def test_zero_outside_windows(self, case2_params):
-        p = derive_params(r=1, K=1, c1=1, c2=1, d1=1.5, d2=1, b1=3, b2=1,
-                          tau1=0.05, tau2=0.2)
-        hist = History.equilibrium_plus_constant(p, (0.02, 0.01, 0.03))
-        ext = extend_history(hist, p)
-        # x window is [-tau1, 0]; theta below it reads as zero
-        at_01, at_02 = ext.eval_many([-0.1, -0.2])
-        assert at_01[0] == 0.0
-        assert at_01[2] == pytest.approx(0.03, abs=1e-14)
-        assert at_02[1] == pytest.approx(0.01, abs=1e-14)
 
     def test_equilibrium_history_extends_to_zero(self, case2_params):
         hist = History.equilibrium_plus_constant(case2_params, (0.0, 0.0, 0.0))
@@ -79,13 +61,17 @@ class TestExtendedHistory:
                 [0.5 + 0.1 * np.cos(9.0 * knots), 0.3 + knots ** 2,
                  0.1 - 0.2 * knots]))
         ext = extend_history(hist, p)
+        # the history's own rows, shifted, on all of [-tau_max, 0]; below
+        # it the history refuses the theta
         edges = [-p.tau2, -p.tau1, 0.0]
         thetas = np.concatenate((
             np.linspace(-p.tau2, 0.0, 41), np.linspace(-p.tau1, 0.0, 13),
-            edges, np.nextafter(edges, -1.0), np.nextafter(edges, 1.0),
-            [-0.3, -1.0]))
-        assert np.array_equal(ext.eval_many(thetas), np.array(
-            [_reference_extended(hist, p, t) for t in thetas.tolist()]))
+            edges, np.nextafter(edges, -1.0), np.nextafter(edges, 1.0)))
+        x0, y0 = plankton_only_point(p)
+        assert np.array_equal(ext.eval_many(thetas),
+                              hist.eval_many(thetas) - (x0, y0, 0.0))
+        with pytest.raises(DomainError, match="outside"):
+            ext.eval_many([-0.1, -0.3])
 
 
 class TestEvalV0:
@@ -107,22 +93,16 @@ class TestEvalV0:
             + base11 * (1.0 - math.exp(-cert.m1 * p.tau1)) / cert.m1)
         assert v0 == pytest.approx(expected, rel=1e-8)
 
-    def test_quadrature_refinement_is_converged(self, case2_params, case2_cert):
+    def test_quadrature_refinement_is_converged(self, case2_params, case2_cert,
+                                                monkeypatch):
         hist = History.equilibrium_plus_sine(case2_params, (0.01, 0.02, 0.0),
                                              7.0)
         ext = extend_history(hist, case2_params)
-        coarse = eval_V0(ext, case2_cert, subintervals=64)
-        fine = eval_V0(ext, case2_cert, subintervals=256)
+        monkeypatch.setattr(verify, "V_QUAD_SUBINTERVALS", 64)
+        coarse = eval_V0(ext, case2_cert)
+        monkeypatch.setattr(verify, "V_QUAD_SUBINTERVALS", 256)
+        fine = eval_V0(ext, case2_cert)
         assert coarse == pytest.approx(fine, rel=1e-8)
-
-    def test_subinterval_validation(self, case2_params, case2_cert):
-        ext = extend_history(
-            History.equilibrium_plus_constant(case2_params, (0.0, 0.0, 0.0)),
-            case2_params)
-        with pytest.raises(DomainError):
-            eval_V0(ext, case2_cert, subintervals=32)
-        with pytest.raises(DomainError):
-            eval_V0(ext, case2_cert, subintervals=65)
 
     def test_quadratic_scaling(self, case2_params, case2_cert):
         base = 2e-3
@@ -449,7 +429,8 @@ class TestExactRate:
     @pytest.mark.parametrize("taus, kind", [((0.1, 0.1), "constant"),
                                             ((0.05, 0.3), "sine"),
                                             ((0.3, 0.05), "sine")])
-    def test_matches_central_difference(self, taus, kind):
+    def test_matches_central_difference(self, taus, kind, monkeypatch):
+        monkeypatch.setattr(verify, "V_QUAD_SUBINTERVALS", 512)
         p = derive_params(r=1, K=1, c1=1, c2=1, d1=1.5, d2=1, b1=3, b2=1,
                           tau1=taus[0], tau2=taus[1])
         cert = build_certificate(p)
@@ -464,12 +445,12 @@ class TestExactRate:
         ts = ts[np.all([np.abs(ts - np.round(ts / tau) * tau) >= 4.0 * h
                         for tau in taus], axis=0)]
         assert ts.size >= 40
-        V, dV = eval_V_along(traj, cert, ts, 512)
-        fd = (eval_V_along(traj, cert, ts + h, 512)[0]
-              - eval_V_along(traj, cert, ts - h, 512)[0]) / (2.0 * h)
+        V, dV = eval_V_along(traj, cert, ts)
+        fd = (eval_V_along(traj, cert, ts + h)[0]
+              - eval_V_along(traj, cert, ts - h)[0]) / (2.0 * h)
         assert (dV < 0.0).all()
         assert (np.abs(dV - fd) <= 1e-4 * np.abs(fd)).all()
-        assert V.tolist() == eval_V_along(traj, cert, ts, 512)[0].tolist()
+        assert V.tolist() == eval_V_along(traj, cert, ts)[0].tolist()
 
     # the README run decays at 13 eps V or faster
     @pytest.mark.parametrize("factor, passed", [(2.0, True), (20.0, False)])
