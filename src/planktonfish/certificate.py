@@ -234,9 +234,8 @@ def _construct(p: ModelParams, options: CertificateOptions) -> LKCertificate:
         / (min(math.sqrt(h11), math.sqrt(h22)) * math.sqrt(one)),
         p.c2 / math.sqrt(h33))
 
-    # re-check the defining inequalities for the chosen rates
-    if not p.e2 * p.c2 * y0 * math.exp(m2 * p.tau2 / 2.0) < p.d2:
-        _fail("m2 inequality")
+    # re-check m1's inequalities; m2's is gap33 > 0, which the chain above
+    # implies (gap33 < 0 makes h33 < 0, det L <= 0 or sigma <= 0)
     if not (a * a * em1 > (a - p.c1 * y0) ** 2
             and (a * a + p.d1 ** 2) * em1 > p.d1 ** 2):
         _fail("m1 inequalities")

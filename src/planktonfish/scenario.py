@@ -12,6 +12,7 @@ outcomes onto documented exit codes:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, fields, replace
@@ -43,12 +44,25 @@ _HISTORY_ARGS = {  # preset -> {argument: default}; analytic: History kwargs
                               "phase": 0.0},
     "tabulated": {"table": _REQUIRED},
 }
-_OUTPUT_FILES = ("equilibria", "certificate", "trajectory",
-                 "verification", "report")
+# output kind -> file name, the one place either is named; ``outputs.files``
+# lists kinds, and a run writes each through one gate
+_OUTPUT_FILES = {
+    "equilibria": "equilibria.txt", "certificate": "certificate.txt",
+    "trajectory": "trajectory.csv", "verification": "verification.csv",
+    "report": "report.txt"}
 
 
 class ConfigError(ValueError):
     """Malformed scenario configuration; message names the field."""
+
+
+@contextlib.contextmanager
+def _writing():
+    # an output that cannot be made or written is an input error
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 @dataclass
@@ -138,13 +152,13 @@ def load_scenario(config_path) -> Scenario:
     overrides = _section(tree, "overrides",
                          [f.name for f in fields(CertificateOptions)])
     outputs = _section(tree, "outputs", ("dir", "files"))
-    files = outputs.get("files", _OUTPUT_FILES)
+    files = outputs.get("files", tuple(_OUTPUT_FILES))
     if not isinstance(files, (list, tuple)):
         raise ConfigError(f"outputs.files must be a list of file kinds, "
                           f"got {files!r}")
     files = tuple(files)
     for f in files:
-        if f not in _OUTPUT_FILES:
+        if f not in tuple(_OUTPUT_FILES):  # a dict lookup hashes a list
             raise ConfigError(f"unknown output file kind {f!r}")
     step_divisor = _positive_int(solver, "step_divisor", 20, "solver")
     stride = _positive_int(solver, "stride", 1, "solver")
@@ -225,41 +239,51 @@ def run_scenario(config_path, out_dir=None) -> tuple[int, dict[str, Path]]:
     """Run the full pipeline for one scenario config; returns (exit code, files)."""
     try:
         scenario = load_scenario(config_path)
+        result = run_loaded_scenario(scenario, out_dir)
     except ConfigError as exc:
         print(f"input error: {exc}")
         return EXIT_INPUT, {}
-    result = run_loaded_scenario(scenario, out_dir)
     return result.code, result.files
 
 
+def _text(lines):
+    text = "\n".join(lines) + "\n"
+    return lambda path: path.write_text(text)
+
+
 def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
+    """Run classify -> certify -> simulate -> verify on a loaded scenario.
+
+    Every output passes one gate, ``emit``; every path ends in ``finish``.
+    An output that cannot be made or written raises ConfigError.
+    """
     out = Path(out_dir) if out_dir is not None else Path(scenario.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing():
+        out.mkdir(parents=True, exist_ok=True)
     result = RunResult(EXIT_INPUT, {})
 
-    def emit(kind, name, text):
+    def emit(kind, write):
         if kind in scenario.files:
-            path = out / name
-            path.write_text(text)
+            path = out / _OUTPUT_FILES[kind]
+            with _writing():
+                write(path)
             result.files[kind] = path
 
-    def finish(code):
+    def finish(code, error=None):
+        if error is not None:
+            print(f"input error: {error}")
+            result.error = str(error)
         result.code = code
         return result
-
-    def input_error(exc):
-        print(f"input error: {exc}")
-        result.error = str(exc)
-        return finish(EXIT_INPUT)
 
     try:
         p = derive_params(**scenario.params)
         step = default_step(p, scenario.step_divisor)
     except (ParameterError, DomainError, TypeError, OverflowError) as exc:
-        return input_error(exc)
+        return finish(EXIT_INPUT, exc)
     if not 0.0 < scenario.horizon < math.inf:
-        return input_error(f"horizon must be positive and finite, "
-                           f"got {scenario.horizon!r}")
+        return finish(EXIT_INPUT, f"horizon must be positive and finite, "
+                                  f"got {scenario.horizon!r}")
 
     eq = classify_equilibria(p)
     lines = [f"case: {eq.case_id}"]
@@ -274,40 +298,40 @@ def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
     except DomainError as exc:
         result.verdict = "inapplicable"
         lines.append(f"verdict: inapplicable ({exc})")
-    emit("equilibria", "equilibria.txt", "\n".join(lines) + "\n")
+    emit("equilibria", _text(lines))
 
-    cert = cert_failure = None
+    cert = inadmissible = None  # why the theorem is inadmissible, if it is
     try:
         cert = result.cert = build_certificate(p, scenario.options)
         creport = assemble_C(cert)
-        emit("certificate", "certificate.txt",
-             cert.report()
-             + f"C positive definite on supported subspace: "
-               f"{creport.positive_definite}\n"
-               f"C min eigenvalue (supported): "
-               f"{creport.min_eig_supported:.17g}\n")
+        lines = [cert.report().rstrip(),
+                 f"C positive definite on supported subspace: "
+                 f"{creport.positive_definite}",
+                 f"C min eigenvalue (supported): "
+                 f"{creport.min_eig_supported:.17g}"]
     except (CertificateError, DomainError) as exc:
-        cert_failure = str(exc)
-        emit("certificate", "certificate.txt",
-             f"certificate not constructed: {exc}\n")
+        inadmissible = f"certificate not constructed ({exc})"
+        lines = [f"certificate not constructed: {exc}"]
+    emit("certificate", _text(lines))
 
     try:
         hist = build_history(scenario, p)
     except ConfigError as exc:
-        return input_error(exc)
+        return finish(EXIT_INPUT, exc)
     # the admissibility conditions read only the initial data, so they
     # are reported even when the integration fails
     if cert is not None:
         theorem = result.theorem = verify.check_initial_conditions(
             hist, verify.extend_history(hist, p), cert, p)
+        if not theorem.envelopes_valid:
+            failed = [name for name, c in theorem.conditions.items()
+                      if not c.passed]
+            inadmissible = f"condition(s) {', '.join(failed)} failed"
     try:
         traj = integrate(p, hist, scenario.horizon, step=step)
     except (DomainError, IntegrationError) as exc:
-        return input_error(exc)
-    if "trajectory" in scenario.files:
-        path = out / "trajectory.csv"
-        traj.to_csv(path, stride=scenario.stride)
-        result.files["trajectory"] = path
+        return finish(EXIT_INPUT, exc)
+    emit("trajectory", lambda path: traj.to_csv(path, stride=scenario.stride))
 
     positivity = check_positivity_boundedness(traj, p)
     report_lines = [f"positivity/boundedness: "
@@ -315,19 +339,11 @@ def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
                     f"observed suprema: "
                     + "  ".join(f"{v:.17g}" for v in positivity.observed_sup)]
     report_lines += positivity.messages
-
-    if cert is None:
-        report_lines.append(f"theorem inadmissible: certificate not "
-                            f"constructed ({cert_failure})")
-        emit("report", "report.txt", "\n".join(report_lines) + "\n")
-        return finish(EXIT_INADMISSIBLE)
-
-    report_lines.append(theorem.to_text().rstrip())
-    if not theorem.envelopes_valid:
-        failed = [name for name, c in theorem.conditions.items() if not c.passed]
-        report_lines.append(
-            f"theorem inadmissible: condition(s) {', '.join(failed)} failed")
-        emit("report", "report.txt", "\n".join(report_lines) + "\n")
+    if cert is not None:
+        report_lines.append(theorem.to_text().rstrip())
+    if inadmissible is not None:
+        report_lines.append(f"theorem inadmissible: {inadmissible}")
+        emit("report", _text(report_lines))
         return finish(EXIT_INADMISSIBLE)
 
     env = result.envelope = verify.check_envelope(traj, cert, theorem)
@@ -340,15 +356,11 @@ def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
                         f"{'PASS' if dineq.passed else 'FAIL'} "
                         f"(worst slack {dineq.worst_slack:.17g}, observed "
                         f"decay ratio {dineq.observed_decay_ratio:.17g})")
-    emit("report", "report.txt", "\n".join(report_lines) + "\n")
-    if "verification" in scenario.files:
-        path = out / "verification.csv"
-        verify.write_verification_csv(path, cert, env, dineq)
-        result.files["verification"] = path
-
-    if not (positivity.passed and env.passed and dineq.passed):
-        return finish(EXIT_VIOLATION)
-    return finish(EXIT_OK)
+    emit("report", _text(report_lines))
+    emit("verification", lambda path: verify.write_verification_csv(
+        path, cert, env, dineq))
+    passed = positivity.passed and env.passed and dineq.passed
+    return finish(EXIT_OK if passed else EXIT_VIOLATION)
 
 
 def _set_scenario_value(scenario: Scenario, key: str, value: float):
@@ -388,9 +400,11 @@ def sweep(config_path, key: str, values, out_dir=None) -> tuple[int, Path]:
     """
     first = load_scenario(config_path)  # raises ConfigError on bad input
     root = Path(out_dir if out_dir is not None else first.out_dir)
-    root.mkdir(parents=True, exist_ok=True)
     summary = root / "sweep_summary.csv"
-    with open(summary, "w", newline="") as fh:
+    with _writing():
+        root.mkdir(parents=True, exist_ok=True)
+        fh = open(summary, "w", newline="")
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(["value", "verdict", "sigma", "epsilon", "q", "V0",
                          "admissible", "worst_envelope_margin", "exit_code"])

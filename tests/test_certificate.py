@@ -101,6 +101,53 @@ class TestChooseRates:
                 build(p)
 
 
+# invariant -> (rates, m_fraction): a set that makes the invariant the
+# first to fail, from a seeded scan with rates log-uniform in [1e-3, 1e3],
+# delays in [1e-4, 10] and d1 within 50 ulps of an end of the stable band
+# or inside it
+INVARIANT_ROWS = {
+    "l11 > 0": (dict(
+        r=0.020822764511665044, K=0.2869712269221624, c1=91.2676004988954,
+        c2=2.2208157024366204, d1=1.24e-322, d2=11.548112072778089,
+        b1=0.08644633490197859, b2=486.0847157767471,
+        tau1=8.129895732966908, tau2=0.0135026455453923), 0.5),
+    "l11*l22 - l12^2 > 0": (dict(
+        r=3.765942660667609, K=17.62206969484001, c1=0.002489629396496863,
+        c2=0.135552691049351, d1=0.6617371856807639, d2=0.06860970542700134,
+        b1=15.084080652306197, b2=0.01284220033725264,
+        tau1=0.02305110500411029, tau2=0.0007596270167812692),
+        0.35764406505883395),
+    "det L > 0": (dict(
+        r=53.263515072889646, K=0.15743701793388432, c1=2.9587820434010608,
+        c2=0.0011336273649356682, d1=0.005655906427067726,
+        d2=0.0019070527771654449, b1=0.01217634452247895,
+        b2=538.3681977828466, tau1=0.0009607454858410695,
+        tau2=0.6007337920469616), 1.0 - 2.0 ** -40),
+    "H positive definite": (dict(
+        r=0.652250298751371, K=0.030160392964036324, c1=1.8304807052065217,
+        c2=2.777455615786447, d1=8.4975970966829e-07,
+        d2=0.0011986299841722906, b1=0.019970033931176866,
+        b2=0.047521943766324425, tau1=3.8170413004039605,
+        tau2=0.6739493490041417), 0.5),
+    "sigma > 0": (dict(
+        r=22.716553034458475, K=0.18591744661256773, c1=5.957055519729945,
+        c2=111.15328426018424, d1=9.42748313972651, d2=39.447448239873964,
+        b1=12.820916390860553, b2=1.3003423507958924,
+        tau1=0.06875419352212289, tau2=0.14785599436712585), 0.999999),
+    "m1 inequalities": (dict(
+        r=0.5437020457168694, K=14.535487202323193, c1=4.634696602594435,
+        c2=11.069293521082269, d1=0.09145135789940696, d2=7.898687570238286,
+        b1=0.0014322186604331468, b2=0.29404966542360883,
+        tau1=0.011560912332698054, tau2=0.0453076299384174),
+        1.0 - 2.0 ** -40),
+    "beta and q finite": (dict(
+        r=1.5280303164959503, K=0.20871804166995261, c1=1.149110523689314,
+        c2=398.0657496750762, d1=0.00024360228506112468,
+        d2=0.01130852412681013, b1=7.945736297896341, b2=2.790532781680349,
+        tau1=7.555142976857266, tau2=1.3799497646081256), 0.99),
+}
+
+
 class TestBuildCertificate:
     def test_reference_scalars(self, case2_cert):
         cert = case2_cert
@@ -198,6 +245,16 @@ class TestBuildCertificate:
     def test_weight_just_inside_the_rule_accepted(self, k):
         cert = build_certificate(_near_boundary_params(k))
         assert cert.sigma > 0.0 and cert.epsilon > 0.0
+
+    # epsilon > 0 has no row: it fails only when fl(mu_fraction * sigma)
+    # rounds up to sigma / 2, which needs a subnormal sigma
+    @pytest.mark.parametrize("invariant", list(INVARIANT_ROWS))
+    def test_each_invariant_fails_first_on_its_row(self, invariant):
+        rates, m_fraction = INVARIANT_ROWS[invariant]
+        message = f"certificate invariant violated: {invariant}"
+        with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
+            build_certificate(derive_params(**rates),
+                              CertificateOptions(m_fraction=m_fraction))
 
     def test_report_contains_all_scalars(self, case2_cert):
         text = case2_cert.report()

@@ -530,6 +530,124 @@ class TestRunScenario:
         assert set(files) == {"equilibria", "report"}
 
 
+FILE_NAMES = {"equilibria": "equilibria.txt", "certificate": "certificate.txt",
+              "trajectory": "trajectory.csv",
+              "verification": "verification.csv", "report": "report.txt"}
+NOT_VERIFICATION = ("equilibria", "certificate", "trajectory", "report")
+# exit path -> (scenario changes, exit code, the files the path writes)
+EXIT_PATHS = {
+    "checks pass": ({}, EXIT_OK, tuple(FILE_NAMES)),
+    "envelope halved": ({}, EXIT_VIOLATION, tuple(FILE_NAMES)),
+    "no certificate": ({"params": dict(CASE2, d1=0.5)}, EXIT_INADMISSIBLE,
+                       NOT_VERIFICATION),
+    "condition fails": ({"history": {"preset": "equilibrium_plus_constant",
+                                     "offsets": [0.3, 0.2, 0.2]}},
+                        EXIT_INADMISSIBLE, NOT_VERIFICATION),
+    "history": ({"history": {"preset": "equilibrium_plus_constant",
+                             "offsets": [-5.0, 0.0, 0.0]}},
+                EXIT_INPUT, ("equilibria", "certificate")),
+    "integration": ({"history": {"preset": "equilibrium_plus_constant",
+                                 "offsets": [1e200, 0.0, 0.0]}},
+                    EXIT_INPUT, ("equilibria", "certificate")),
+    "parameters": ({"params": dict(CASE2, r=-1.0)}, EXIT_INPUT, ()),
+    "horizon": ({"horizon": 0.0}, EXIT_INPUT, ()),
+}
+
+
+class TestOutputGate:
+    @pytest.mark.parametrize("files", [
+        tuple(FILE_NAMES), (), ("report", "verification"),
+        ("equilibria", "trajectory")], ids=lambda files: ",".join(files))
+    @pytest.mark.parametrize("exit_path", list(EXIT_PATHS))
+    def test_files_on_each_exit_path(self, tmp_path, monkeypatch, exit_path,
+                                     files):
+        # the directory holds exactly the files that the exit path writes
+        # and the scenario asks for, and RunResult.files names them
+        changes, code, written = EXIT_PATHS[exit_path]
+        if exit_path == "envelope halved":
+            envelope = verify.predicted_envelope
+            monkeypatch.setattr(verify, "predicted_envelope",
+                                lambda cert, V0, t: tuple(
+                                    0.5 * b for b in envelope(cert, V0, t)))
+        tree = {"params": CASE2,
+                "history": {"preset": "equilibrium_plus_constant",
+                            "offsets": [1e-5, 5e-6, 1e-5]},
+                "horizon": 1.0, **changes,
+                "outputs": {"files": list(files)}}
+        scenario = load_scenario(_write_config(tmp_path / "c.yaml", tree))
+        out = tmp_path / "out"
+        result = run_loaded_scenario(scenario, out)
+        expected = [kind for kind in written if kind in files]
+        assert result.code == code
+        assert (sorted(path.name for path in out.iterdir())
+                == sorted(FILE_NAMES[kind] for kind in expected))
+        assert result.files == {kind: out / FILE_NAMES[kind]
+                                for kind in expected}
+
+
+class TestUnwritableOutput:
+    """An output that cannot be made or written is an input error."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        tree = {"params": CASE2,
+                "history": {"preset": "equilibrium_plus_constant",
+                            "offsets": [1e-5, 5e-6, 1e-5]},
+                "horizon": 1.0}
+        return _write_config(tmp_path / "c.yaml", tree)
+
+    @staticmethod
+    def _input_error(capsys, path):
+        out, err = capsys.readouterr()
+        assert out.startswith("input error: cannot write output: ")
+        assert str(path) in out
+        assert "Traceback" not in out + err
+
+    def test_output_dir_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        tree = {"params": CASE2, "horizon": 1.0,
+                "outputs": {"dir": str(tmp_path / "f" / "out")}}
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        assert main(["run", cfg]) == EXIT_INPUT
+        self._input_error(capsys, tmp_path / "f" / "out")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_is_a_file(self, config, tmp_path, capsys, command):
+        out = tmp_path / "f"
+        out.write_text("")
+        argv = [command, config, "--out", str(out)]
+        if command == "sweep":
+            argv += ["--key", "horizon", "--values", "1"]
+        assert main(argv) == EXIT_INPUT
+        self._input_error(capsys, out)
+
+    @pytest.mark.parametrize("name", ["trajectory.csv", "report.txt"])
+    def test_directory_in_place_of_an_output(self, config, tmp_path, capsys,
+                                             name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["run", config, "--out", str(out)]) == EXIT_INPUT
+        self._input_error(capsys, out / name)
+
+    def test_sweep_row_that_cannot_be_written(self, config, tmp_path):
+        root = tmp_path / "sw"
+        root.mkdir()
+        (root / "sweep_000").write_text("")
+        assert main(["sweep", config, "--key", "horizon", "--values", "1,2",
+                     "--out", str(root)]) == EXIT_OK
+        rows = _data_rows(root / "sweep_summary.csv")
+        assert rows[0][1].startswith("error: cannot write output: ")
+        assert [row[8] for row in rows] == [str(EXIT_INPUT), str(EXIT_OK)]
+
+    def test_sweep_summary_that_cannot_be_opened(self, config, tmp_path,
+                                                 capsys):
+        summary = tmp_path / "sw" / "sweep_summary.csv"
+        summary.mkdir(parents=True)
+        assert main(["sweep", config, "--key", "horizon", "--values", "1",
+                     "--out", str(tmp_path / "sw")]) == EXIT_INPUT
+        self._input_error(capsys, summary)
+
+
 class TestSweep:
     def test_mortality_sweep_flips_verdict(self, tmp_path):
         tree = {

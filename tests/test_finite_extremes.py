@@ -107,3 +107,12 @@ def test_extreme_rates_exit_cleanly(readme_scenario, rates):
     cert = result.cert
     assert cert is None or all(map(math.isfinite, (
         cert.beta, cert.q, cert.sigma, cert.epsilon, cert.m1, cert.m2)))
+
+
+@pytest.mark.xfail(strict=True, reason="the fixed RK4 step ignores the "
+                   "rates: h*d2 = 27 lies outside RK4's stability interval, "
+                   "and z grows from 1e-5 to 3688.67 in two steps")
+def test_stiff_certified_set_passes(tmp_path):
+    # certified, and all five conditions pass; the run takes two steps
+    cfg = _config(tmp_path / "scenario.yaml", dict(d2=54003.12980064407))
+    assert main(["run", cfg]) == EXIT_OK
