@@ -117,9 +117,9 @@ def choose_rates(p: ModelParams,
 
     The gate is the lemma's verdict AsymptoticallyStable plus e2*c2 > 0,
     which m2 and beta divide by and the lemma does not imply.  m2 comes
-    from requiring e2*c2*y0*exp(m2*tau2/2) < d2; m1 from the pair of
-    inequalities bounding exp(-m1*tau1) from below.  Defaults take half
-    the supremum of each.
+    from requiring e2*c2*y0*exp(m2*tau2/2) < d2, which must still hold
+    after rounding; m1 from the pair of inequalities bounding
+    exp(-m1*tau1) from below.  Defaults take half the supremum of each.
     """
     options = options or CertificateOptions()
     verdict = lemma_classify(p)
@@ -148,7 +148,19 @@ def choose_rates(p: ModelParams,
         if not 0.0 < m < math.inf:
             raise CertificateError(f"certificate inapplicable: rate {name} "
                                    f"= {m:.17g} is not positive and finite")
+    # m_fraction near 1 can round m2's margin away; h33 divides by it
+    gap33 = _m2_margin(p, e2c2y0, m2)
+    if not gap33 > 0.0:
+        raise CertificateError(
+            f"certificate inapplicable: rate m2 = {m2:.17g} leaves "
+            f"d2 - e2*c2*y0*exp(m2*tau2/2) = {gap33!r} after rounding; "
+            f"m_fraction = {options.m_fraction!r} is too close to 1")
     return m1, m2
+
+
+def _m2_margin(p: ModelParams, e2c2y0: float, m2: float) -> float:
+    """gap33 = d2 - e2*c2*y0*exp(m2*tau2/2), positive for an admissible m2."""
+    return p.d2 - e2c2y0 * math.exp(m2 * p.tau2 / 2.0)
 
 
 def build_certificate(p: ModelParams,
@@ -191,7 +203,7 @@ def _construct(p: ModelParams, options: CertificateOptions) -> LKCertificate:
     l13 = alpha * p.c2 * y0 * (p.e1 / p.d1) * a * a * em1
     l23 = alpha * p.c2 * y0 * (a + p.d1) * em1
 
-    gap33 = p.d2 - p.e2 * p.c2 * y0 * math.exp(m2 * p.tau2 / 2.0)
+    gap33 = _m2_margin(p, p.e2 * p.c2 * y0, m2)
     minor = l11 * l22 - l12 * l12
     corner = l11 * l23 ** 2 + l22 * l13 ** 2 - 2.0 * l12 * l13 * l23
     h33 = options.h33_factor * corner / (2.0 * gap33 * minor)
@@ -234,8 +246,7 @@ def _construct(p: ModelParams, options: CertificateOptions) -> LKCertificate:
         / (min(math.sqrt(h11), math.sqrt(h22)) * math.sqrt(one)),
         p.c2 / math.sqrt(h33))
 
-    # re-check m1's inequalities; m2's is gap33 > 0, which the chain above
-    # implies (gap33 < 0 makes h33 < 0, det L <= 0 or sigma <= 0)
+    # re-check m1's inequalities; m2's, gap33 > 0, choose_rates checked
     if not (a * a * em1 > (a - p.c1 * y0) ** 2
             and (a * a + p.d1 ** 2) * em1 > p.d1 ** 2):
         _fail("m1 inequalities")

@@ -12,6 +12,10 @@ block's delayed terms are node slices combined with those weights, read
 exactly at the nodes when h divides the delay and at a constant fraction
 otherwise.  A scalar RK4 loop then advances the local part.  The loop
 writes the four RK4 stages inline, and equal delays share one lookup.
+
+``Trajectory.to_csv`` hands the nodes, with t = step * k, to
+``floatcsv.write_float_rows`` in blocks of ``_CSV_CHUNK`` rows; that
+writer's numpy kernel gives each value the bytes of ``'%.17g' % v``.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IntegrationError
+from .floatcsv import write_float_rows
 from .model import ModelParams, plankton_only_point
 
 POSITIVITY_TOL = 1e-9
-_CSV_CHUNK = 4096  # trajectory rows formatted per write
+_CSV_CHUNK = 1024  # trajectory rows per block: one writer pass of 4096 values
 
 
 class History:
@@ -288,15 +293,6 @@ class Trajectory:
             (self.step * np.arange(s, min(s + span, n), stride),
              self.states[s:s + span:stride]))
             for s in range(0, n, span)))
-
-
-def write_float_rows(path, header, blocks):
-    """Write a header, then each 2-D float block's rows (CRLF, %.17g)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for rows in blocks:
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
-            fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
 def default_step(p: ModelParams, divisor: int = 20) -> float:

@@ -15,8 +15,9 @@ import numpy as np
 
 from .certificate import LKCertificate, kernel_base
 from .errors import DomainError
+from .floatcsv import write_float_rows
 from .model import ModelParams, plankton_only_point, rhs
-from .simulate import History, Trajectory, write_float_rows
+from .simulate import History, Trajectory
 
 V_QUAD_SUBINTERVALS = 128  # per delay window; spec floor is 64
 ENVELOPE_BASE_TOL = 1e-6

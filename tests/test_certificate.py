@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
 from planktonfish import (CertificateError, CertificateOptions, DomainError,
                           assemble_C, build_certificate,
@@ -10,6 +11,8 @@ from planktonfish import (CertificateError, CertificateOptions, DomainError,
                           eval_K, linearize)
 from planktonfish.certificate import (GenericCheckResult, _block_matrix,
                                       _supported_submatrix)
+from planktonfish.cli import main
+from planktonfish.model import coexistence_threshold
 from planktonfish.spectrum import lemma_classify
 
 from conftest import build_stable_certified, random_stable_params
@@ -99,6 +102,34 @@ class TestChooseRates:
                                match=r"^certificate inapplicable: verdict "
                                      r"Unstable \(d1 = 1.5 < "):
                 build(p)
+
+
+    def test_refuses_an_m2_margin_that_rounds_away(self, tmp_path):
+        # b2 = 3 puts the lower end of the stable band at the coexistence
+        # threshold 1.7145122541078788; one ulp above it, with m_fraction =
+        # 1 - 2^-40, d2 - e2*c2*y0*exp(m2*tau2/2) rounds to exactly 0
+        rates = dict(r=1.0, K=1.0, c1=1.0, c2=1.0, d2=1.0, b1=3.0, b2=3.0,
+                     tau1=0.1, tau2=0.1)
+        threshold = coexistence_threshold(derive_params(d1=1.5, **rates))
+        d1 = math.nextafter(threshold, math.inf)
+        p = derive_params(d1=d1, **rates)
+        assert lemma_classify(p).kind == "AsymptoticallyStable"
+        options = CertificateOptions(m_fraction=1.0 - 2.0 ** -40)
+        message = (r"^certificate inapplicable: rate m2 = \S+ leaves "
+                   r"d2 - e2\*c2\*y0\*exp\(m2\*tau2/2\) = 0\.0 after "
+                   r"rounding; m_fraction = 0\.9999999999990905 is too close "
+                   r"to 1$")
+        for build in (choose_rates, build_certificate):
+            with pytest.raises(CertificateError, match=message):
+                build(p, options)
+        config = tmp_path / "scenario.yaml"
+        config.write_text(yaml.safe_dump({
+            "params": dict(rates, d1=d1), "horizon": 0.01,
+            "overrides": {"m_fraction": options.m_fraction}}))
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out)]) == 2
+        assert re.search(message[1:-1],
+                         (out / "certificate.txt").read_text())
 
 
 # invariant -> (rates, m_fraction): a set that makes the invariant the
