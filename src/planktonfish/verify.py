@@ -22,7 +22,9 @@ from .simulate import History, Trajectory
 V_QUAD_SUBINTERVALS = 128  # per delay window; spec floor is 64
 ENVELOPE_BASE_TOL = 1e-6
 DIFF_INEQ_RTOL = 1e-4  # relative to eps V + |dV/dt|
-V_CHUNK = 32  # times per batched lookup in _functional; bounds its memory
+V_CHUNK = 16  # times per batched lookup in _functional; its lookup arrays
+# (16 x 259 rows of 3 doubles, 99 KB) stay under glibc's 128 KB mmap
+# threshold, so the heap reuses them instead of faulting them in per chunk
 CHECK_TIMES = 200  # trajectory checks sample t_end/200, ..., t_end
 
 
