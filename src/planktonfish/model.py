@@ -28,7 +28,8 @@ class ModelParams:
     """Validated model parameters plus derived quantities.
 
     Do not construct directly; use :func:`derive_params` so that the
-    derived fields stay consistent with the raw rates.
+    derived fields stay consistent with the raw rates.  ``tau_min`` is
+    the smallest positive delay (0.0 only when both delays are 0).
     """
 
     r: float
@@ -79,28 +80,26 @@ class LinearizedSystem:
     y0: float
 
 
-_POSITIVE = ("r", "K", "d1", "d2")
-_NONNEGATIVE = ("c1", "c2", "b1", "b2", "tau1", "tau2")
+_POSITIVE = ("r", "K", "d1", "d2")  # the other rates and the delays are >= 0
 
 
 def derive_params(r, K, c1, c2, d1, d2, b1, b2, tau1, tau2) -> ModelParams:
-    """Validate raw rates and populate the derived fields."""
+    """Validate raw rates, each read with float(), and derive the rest."""
     raw = dict(r=r, K=K, c1=c1, c2=c2, d1=d1, d2=d2,
                b1=b1, b2=b2, tau1=tau1, tau2=tau2)
     for name, value in raw.items():
-        if not math.isfinite(value):
-            raise ParameterError(f"parameter {name!r} must be finite, got {value!r}")
-    for name in _POSITIVE:
-        if raw[name] <= 0:
-            raise ParameterError(f"parameter {name!r} must be > 0, got {raw[name]!r}")
-    for name in _NONNEGATIVE:
-        if raw[name] < 0:
-            raise ParameterError(f"parameter {name!r} must be >= 0, got {raw[name]!r}")
-    e1 = b1 * math.exp(-c1 * tau1)
-    e2 = b2 * math.exp(-c2 * tau2)
-    return ModelParams(r=r, K=K, c1=c1, c2=c2, d1=d1, d2=d2, b1=b1, b2=b2,
-                       tau1=tau1, tau2=tau2, e1=e1, e2=e2,
-                       tau_max=max(tau1, tau2), tau_min=min(tau1, tau2))
+        try:
+            v = raw[name] = float(value)
+        except (TypeError, ValueError, OverflowError):
+            v = math.nan
+        positive = name in _POSITIVE  # a nan fails both comparisons
+        if not (0 < v < math.inf if positive else 0 <= v < math.inf):
+            raise ParameterError(f"parameter {name!r} must be a finite number "
+                                 f"{'>' if positive else '>='} 0, got {value!r}")
+    lo, hi = sorted((raw["tau1"], raw["tau2"]))
+    return ModelParams(**raw, e1=raw["b1"] * math.exp(-raw["c1"] * raw["tau1"]),
+                       e2=raw["b2"] * math.exp(-raw["c2"] * raw["tau2"]),
+                       tau_max=hi, tau_min=lo or hi)
 
 
 def rhs(current: State, delayed1: State, delayed2: State, p: ModelParams) -> State:

@@ -97,6 +97,13 @@ def _positive_int(mapping, key, default, where) -> int:
     return n
 
 
+def _number(value, where) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
 def _check_keys(mapping, known, where):
     # the first key not in ``known``, in file order, is the one reported
     for name in mapping:
@@ -156,28 +163,22 @@ def load_scenario(config_path) -> Scenario:
     if not isinstance(files, (list, tuple)):
         raise ConfigError(f"outputs.files must be a list of file kinds, "
                           f"got {files!r}")
-    files = tuple(files)
     for f in files:
         if f not in tuple(_OUTPUT_FILES):  # a dict lookup hashes a list
             raise ConfigError(f"unknown output file kind {f!r}")
-    step_divisor = _positive_int(solver, "step_divisor", 20, "solver")
-    stride = _positive_int(solver, "stride", 1, "solver")
-    try:
-        options = CertificateOptions(**{
-            f.name: float(overrides.get(f.name, f.default))
-            for f in fields(CertificateOptions)})
-        return Scenario(
-            params=dict(params),
-            history_preset=preset,
-            history_args=history_args,
-            horizon=float(tree.get("horizon", 50.0)),
-            step_divisor=step_divisor,
-            stride=stride,
-            options=options,
-            out_dir=str(outputs.get("dir", "out")),
-            files=files)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid scenario field: {exc}") from exc
+    return Scenario(
+        params=dict(params),
+        history_preset=preset,
+        history_args=history_args,
+        horizon=_number(tree.get("horizon", 50.0), "horizon"),
+        step_divisor=_positive_int(solver, "step_divisor", 20, "solver"),
+        stride=_positive_int(solver, "stride", 1, "solver"),
+        options=CertificateOptions(**{
+            f.name: _number(overrides.get(f.name, f.default),
+                            f"overrides.{f.name}")
+            for f in fields(CertificateOptions)}),
+        out_dir=str(outputs.get("dir", "out")),
+        files=tuple(files))
 
 
 def build_history(scenario: Scenario, p: ModelParams) -> History:
@@ -279,7 +280,7 @@ def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
     try:
         p = derive_params(**scenario.params)
         step = default_step(p, scenario.step_divisor)
-    except (ParameterError, DomainError, TypeError, OverflowError) as exc:
+    except (ParameterError, DomainError, TypeError) as exc:
         return finish(EXIT_INPUT, exc)
     if not 0.0 < scenario.horizon < math.inf:
         return finish(EXIT_INPUT, f"horizon must be positive and finite, "

@@ -59,6 +59,9 @@ class History:
     def _analytic(cls, p: ModelParams, eq, amp, w: float,
                   ph: float) -> "History":
         # eq + amp * sin(w theta + ph); w = 0, ph = pi/2 is a constant
+        for name, v in (("frequency", w), ("phase", ph)):
+            if not math.isfinite(v):
+                raise DomainError(f"{name} must be finite, got {v!r}")
         ax, ay, az = (float(v) for v in amp)
         eq, amp = np.array(eq), np.array([ax, ay, az])
 
@@ -128,7 +131,7 @@ class History:
         """
         ts = np.asarray(thetas, dtype=float)
         lo = -self.p.tau_max
-        outside = (ts < lo - 1e-9 * (1.0 + self.p.tau_max)) | (ts > 1e-12)
+        outside = ~((ts >= lo - 1e-9 * (1.0 + self.p.tau_max)) & (ts <= 1e-12))
         if outside.any():
             raise DomainError(f"history evaluated at theta = "
                               f"{float(ts[outside][0])!r} outside [{lo}, 0]")
@@ -281,7 +284,7 @@ class Trajectory:
     def sample_many(self, ts) -> np.ndarray:
         """State at each time of an array; see :meth:`sample`."""
         ts = np.asarray(ts, dtype=float)
-        if ts.size and ts.max() > self.t_end * (1.0 + 1e-12) + 1e-15:
+        if ts.size and not ts.max() <= self.t_end * (1.0 + 1e-12) + 1e-15:
             raise DomainError(f"sample time {float(ts.max())!r} beyond "
                               f"t_end = {self.t_end}")
         return _dense(self.states, self.derivs, self.step, self.history, ts)
@@ -296,20 +299,20 @@ class Trajectory:
 
 
 def default_step(p: ModelParams, divisor: int = 20) -> float:
-    """Step min(smallest positive delay, 0.01) / divisor.
+    """Step min(tau_min, 0.01) / divisor, shortened to divide tau_min.
 
-    When both delays are positive the step is shortened to
-    tau_min / ceil(tau_min / step), so that it divides tau_min exactly.
-    A step of 0, or one that tau_min / step overflows, raises DomainError.
+    With both delays 0 (tau_min = 0) the step is 0.01 / divisor.  A
+    divisor that is not positive, a step of 0, or one that tau_min / step
+    overflows raises DomainError.
     """
-    base = min(v for v in (p.tau1, p.tau2, 0.01) if v > 0.0)
+    if not divisor > 0:
+        raise DomainError(f"step divisor must be positive, got {divisor!r}")
+    base = min(p.tau_min, 0.01) or 0.01
     h0 = base / divisor
     if not (h0 > 0.0 and p.tau_min / h0 < math.inf):
         raise DomainError(f"step {base!r} / {divisor} = {h0!r} is too short "
                           f"for tau_min = {p.tau_min!r}")
-    if p.tau_min > 0.0:
-        return p.tau_min / math.ceil(p.tau_min / h0)
-    return h0
+    return p.tau_min / math.ceil(p.tau_min / h0) if p.tau_min else h0
 
 
 def integrate(p: ModelParams, hist: History, t_end: float,
@@ -335,25 +338,22 @@ def integrate(p: ModelParams, hist: History, t_end: float,
     shorter than one step runs one step of that length, and a step count
     t_end / step or a delay / step that overflows raises DomainError.
     """
-    if t_end <= 0.0:
-        raise DomainError("t_end must be positive")
     h_target = default_step(p) if step is None else float(step)
-    if h_target <= 0.0:
-        raise DomainError("step must be positive")
-    pos_taus = [tau for tau in (p.tau1, p.tau2) if tau > 0.0]
-    if pos_taus and h_target > min(pos_taus) / 20.0 * (1.0 + 1e-12):
+    if not (t_end > 0.0 and h_target > 0.0):
+        raise DomainError(f"horizon {t_end!r} and step {h_target!r} must be positive")
+    if p.tau_min and h_target > p.tau_min / 20.0 * (1.0 + 1e-12):
         raise DomainError(f"step {h_target} exceeds smallest positive "
-                          f"delay / 20 = {min(pos_taus) / 20.0}")
+                          f"delay / 20 = {p.tau_min / 20.0}")
     steps = t_end / h_target - 1e-12
     if math.isinf(steps):
         raise DomainError(f"horizon {t_end!r} / step {h_target!r} overflows "
                           f"the step count")
     n = max(1, math.ceil(steps))
     h = t_end / n
-    if pos_taus and math.isinf(max(pos_taus) / h):
+    if math.isinf(p.tau_max / h):
         raise DomainError(f"step {h!r} is too short for the delay "
-                          f"{max(pos_taus)!r} (delay / step overflows)")
-    block = math.floor(min(pos_taus) / h) - 2 if pos_taus else n + 1
+                          f"{p.tau_max!r} (delay / step overflows)")
+    block = math.floor(p.tau_min / h) - 2 if p.tau_min else n + 1
 
     r, K, c1, c2 = p.r, p.K, p.c1, p.c2
     md1, md2 = -p.d1, -p.d2
@@ -369,7 +369,7 @@ def integrate(p: ModelParams, hist: History, t_end: float,
     flat_states, flat_derivs = states.reshape(-1), derivs.reshape(-1)
     states[0] = hist(0.0)
     x, y, z = states[0].tolist()
-    stencils = {tau: _stencil(tau, h) for tau in set(pos_taus)}
+    stencils = {tau: _stencil(tau, h) for tau in {p.tau_min, p.tau_max} if tau}
 
     # Indices run to n inclusive so that the last block also yields
     # derivs[n]; the state it computes past t_end is discarded.
@@ -383,10 +383,8 @@ def integrate(p: ModelParams, hist: History, t_end: float,
             u = {tau: _delayed(states, derivs, h, hist, tau, st, i0, i1)
                  for tau, st in stencils.items()}
             u1, u2 = u.get(tau1), u.get(tau2)
-            w1 = none if not tau1 else (
-                ec1 * u1[..., 0] * u1[..., 1]).tolist()
-            w2 = none if not tau2 else (
-                ec2 * u2[..., 1] * u2[..., 2]).tolist()
+            w1 = (ec1 * u1[..., 0] * u1[..., 1]).tolist() if tau1 else none
+            w2 = (ec2 * u2[..., 1] * u2[..., 2]).tolist() if tau2 else none
         ks, nodes = [], []
         put_k, put_node = ks.extend, nodes.extend
         for f1, f1h, f11, f2, f2h, f21 in zip(*w1, *w2):

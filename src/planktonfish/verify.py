@@ -226,7 +226,7 @@ def gronwall_bound(cert: LKCertificate, V0: float, t: float) -> float:
 def eval_V_along(traj: Trajectory, cert: LKCertificate, ts) -> np.ndarray:
     """Rows (V, dV/dt) along the trajectory at each time of ``ts`` in [0, t_end]."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    outside = (ts < 0.0) | (ts > traj.t_end * (1.0 + 1e-12))
+    outside = ~((ts >= 0.0) & (ts <= traj.t_end * (1.0 + 1e-12)))
     if outside.any():
         raise DomainError(f"t = {float(ts[outside][0])!r} "
                           f"outside [0, {traj.t_end}]")

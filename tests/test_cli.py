@@ -334,6 +334,53 @@ class TestRunScenario:
             "input error: invalid history: could not convert string to "
             "float: 'abc'\n")
 
+    # an infinite frequency holds a full period in every window, so the
+    # range check once passed while every row was nan
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args, message", [
+        ({"frequency": math.inf}, "frequency must be finite, got inf"),
+        ({"frequency": 1.0, "phase": math.nan}, "phase must be finite, got nan"),
+    ], ids=["inf_frequency", "nan_phase"])
+    def test_non_finite_sine_argument_is_input_error(self, tmp_path, capsys,
+                                                     args, message):
+        tree = {"params": CASE2, "horizon": 1.0,
+                "history": {"preset": "equilibrium_plus_sine",
+                            "amplitudes": [1e-5, 0.0, 0.0], **args},
+                "outputs": {"dir": str(tmp_path / "out")}}
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        assert main(["run", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == f"input error: invalid history: {message}\n"
+        assert captured.err == ""
+
+    def test_rate_in_exponent_form_is_a_number(self, tmp_path):
+        # PyYAML reads 1e-1 (no dot) as the string '1e-1'
+        assert yaml.safe_load("tau2: 1e-1") == {"tau2": "1e-1"}
+        written = []
+        for tau2 in ("0.1", "1e-1"):
+            params = ", ".join(f"{k}: {v}" for k, v in
+                               dict(CASE2, tau2=tau2).items())
+            cfg = tmp_path / f"{tau2}.yaml"
+            cfg.write_text(f"params: {{{params}}}\nhorizon: 1.0\n"
+                           "history: {offsets: [1.0e-5, 5.0e-6, 1.0e-5]}\n")
+            out = tmp_path / f"out_{tau2}"
+            assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+            written.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert len(written[0]) == 5 and written[0] == written[1]
+
+    @pytest.mark.parametrize("tree, message", [
+        ({"params": dict(CASE2, tau2="abc")},
+         "parameter 'tau2' must be a finite number >= 0, got 'abc'"),
+        ({"params": CASE2, "horizon": "abc"},
+         "horizon must be a number, got 'abc'"),
+        ({"params": CASE2, "overrides": {"m_fraction": "abc"}},
+         "overrides.m_fraction must be a number, got 'abc'"),
+    ], ids=["params", "horizon", "overrides"])
+    def test_non_number_names_its_key(self, tmp_path, capsys, tree, message):
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().out == f"input error: {message}\n"
+
     @pytest.mark.parametrize("section, value, message", [
         ("outputs", [1, 2], "'outputs' must be a mapping, got [1, 2]"),
         ("solver", [1], "'solver' must be a mapping, got [1]"),

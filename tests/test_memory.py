@@ -6,7 +6,7 @@ horizons 2.5 and 20, the tracemalloc peak of ``integrate`` beyond those two
 arrays, and of each check and the CSV writer, must grow by less than 5 %
 of the growth of ``states.nbytes`` (0.12 -> 0.96 MB).  A copy such as
 ``np.abs(states)`` or a stored time column would grow by 100 % or 33 %.
-The short run keeps more rows than one ``to_csv`` chunk (4096), so both
+The short run keeps more rows than one ``to_csv`` chunk (1024), so both
 runs write full chunks.
 """
 

@@ -2,6 +2,7 @@ import csv
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -461,6 +462,39 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(case2_params, hist, 1.0, step=-0.001)
 
+    def test_one_zero_delay_divides_the_other(self):
+        # tau_min is the smallest positive delay, so with tau1 = 0 the
+        # default step divides tau2 and tau2's stencil reads the nodes
+        tau2 = 0.0761773441234148
+        p = _readme_params(0.0, tau2)
+        h = default_step(p)
+        assert p.tau_min == tau2 and h == tau2 / 153
+        fractions = {off: u for off, _, u in simulate._stencil(p.tau_min, h)}
+        assert fractions[0.0] == fractions[1.0] == 0.0
+        # on the mesh the error against an h/16 run is rounding (9.4e-15);
+        # the step 0.0005 of tau2 / 152.4 gave 7.9e-12
+        hist = History.equilibrium_plus_constant(p, (1e-2, 5e-3, 1e-2))
+        traj = integrate(p, hist, 10 * tau2)
+        ref = integrate(p, hist, 10 * tau2, step=traj.step / 16)
+        assert traj.step == h
+        assert np.abs(traj.states - ref.states[::16]).max() < 1e-13
+
+    @pytest.mark.parametrize("call", [
+        lambda p, hist: integrate(p, hist, math.nan),
+        lambda p, hist: integrate(p, hist, 1.0, step=math.nan),
+        lambda p, hist: hist(math.nan),
+        lambda p, hist: hist.eval_many([-0.05, math.nan]),
+        lambda p, hist: integrate(p, hist, 1.0).sample(math.nan),
+        lambda p, hist: integrate(p, hist, 1.0).sample_many([0.5, math.nan]),
+    ], ids=["horizon", "step", "theta", "theta_in_array", "sample_time",
+            "in_sample_times"])
+    def test_nan_is_domain_error(self, case2_params, call):
+        hist = History.equilibrium_plus_constant(case2_params, (0.01, 0.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                call(case2_params, hist)
+
     @pytest.mark.parametrize("t_end", [1e-16, 1e-300])
     def test_horizon_below_one_step_runs_one_step(self, case2_params, t_end):
         hist = History.equilibrium_plus_constant(case2_params, (0.01, 0.0, 0.0))
@@ -490,7 +524,8 @@ class TestIntegrate:
                             "tau_min = 5e-324"),
         ((0.1, 0.1), 10 ** 308, f"step 0.01 / {10 ** 308} = 1e-310 is too "
                                 f"short for tau_min = 0.1"),
-    ], ids=["step_underflows", "tau_min_over_step_overflows"])
+        ((0.1, 0.1), 0, "step divisor must be positive, got 0"),
+    ], ids=["step_underflows", "tau_min_over_step_overflows", "zero_divisor"])
     def test_unrepresentable_default_step_is_domain_error(self, taus, divisor,
                                                           message):
         p = derive_params(r=1, K=1, c1=1, c2=1, d1=1.5, d2=1, b1=3, b2=1,

@@ -312,7 +312,7 @@ class TestEvalVMany:
         assert [eval_V_along(traj, cert, [t])[0][0] for t in ts[:5]] \
             == got[:5].tolist()
 
-    @pytest.mark.parametrize("bad", [-1e-3, 1.6])
+    @pytest.mark.parametrize("bad", [-1e-3, 1.6, math.nan])
     def test_domain_check(self, trajectory, bad):
         p, cert, traj = trajectory
         with pytest.raises(DomainError, match="outside"):
