@@ -159,6 +159,9 @@ def load_scenario(config_path) -> Scenario:
     overrides = _section(tree, "overrides",
                          [f.name for f in fields(CertificateOptions)])
     outputs = _section(tree, "outputs", ("dir", "files"))
+    out_dir = outputs.get("dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"outputs.dir must be a string, got {out_dir!r}")
     files = outputs.get("files", tuple(_OUTPUT_FILES))
     if not isinstance(files, (list, tuple)):
         raise ConfigError(f"outputs.files must be a list of file kinds, "
@@ -177,7 +180,7 @@ def load_scenario(config_path) -> Scenario:
             f.name: _number(overrides.get(f.name, f.default),
                             f"overrides.{f.name}")
             for f in fields(CertificateOptions)}),
-        out_dir=str(outputs.get("dir", "out")),
+        out_dir=out_dir,
         files=tuple(files))
 
 

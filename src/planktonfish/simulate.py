@@ -308,7 +308,10 @@ def default_step(p: ModelParams, divisor: int = 20) -> float:
     if not divisor > 0:
         raise DomainError(f"step divisor must be positive, got {divisor!r}")
     base = min(p.tau_min, 0.01) or 0.01
-    h0 = base / divisor
+    try:
+        h0 = base / divisor
+    except OverflowError:  # an integer divisor beyond the float range
+        h0 = 0.0
     if not (h0 > 0.0 and p.tau_min / h0 < math.inf):
         raise DomainError(f"step {base!r} / {divisor} = {h0!r} is too short "
                           f"for tau_min = {p.tau_min!r}")

@@ -22,8 +22,11 @@ Rect = tuple[float, float, float, float]  # (re_min, re_max, im_min, im_max)
 
 ROOT_RESIDUAL_TOL = 1e-9
 _MAX_DEPTH = 12
-WINDING_CHUNK = 64  # rectangles per batched boundary evaluation at n = 64;
-# larger n takes proportionally fewer, so a call's size stays bounded
+# boundary samples per evaluation of Q: a complex temporary then takes
+# 64 KB, under glibc's 128 KB mmap threshold, and a block's arrays are all
+# released before the next block, so the heap reuses the same memory instead
+# of mapping it, or growing back a trimmed top, and faulting it in anew
+SAMPLE_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -107,38 +110,98 @@ def default_region(p: ModelParams) -> Rect:
     return (-scale, 1.0, -50.0, 50.0)
 
 
-def _boundary(rects: np.ndarray, n: int):
-    """Counter-clockwise boundary samples of each rectangle, n per edge.
+# rects' columns holding each edge's start, stop and fixed coordinate, for
+# the edges bottom, right, top, left; the bottom and top edges are flat
+_EDGE_COLUMNS = np.array([[0, 2, 1, 3], [1, 3, 0, 2], [2, 1, 3, 0]])
+_FLAT = np.array([True, False, True, False])[:, None]
 
-    Returns the samples, shape (rects, 4, n) with the edges in the order
-    bottom, right, top, left, and each edge's complex step, shape
-    (rects, 4, 1).
+
+def _boundary(rects: np.ndarray, n: int, e0: int, e1: int, k: np.ndarray):
+    """Samples k of edges e0..e1-1 of each rectangle, n per edge.
+
+    The edges run counter-clockwise, bottom, right, top, left (0..3), and
+    sample k of an edge is its start + k*step.  Returns the samples, shape
+    (rects, e1 - e0, len(k)), and each edge's complex step, shape
+    (rects, e1 - e0, 1).
     """
-    start = rects[:, [0, 2, 1, 3], None]
-    step = (rects[:, [1, 3, 0, 2], None] - start) / n
-    # np.linspace(start, stop, n, endpoint=False) per edge, same arithmetic
-    along = np.arange(n) * step + start
-    flat, upright = np.s_[:, 0::2], np.s_[:, 1::2]
+    start, stop, fixed = rects[:, _EDGE_COLUMNS[:, e0:e1], None].transpose(
+        1, 0, 2, 3)
+    step = (stop - start) / n
+    # np.linspace(start, stop, n, endpoint=False)[k] per edge, same arithmetic
+    along = k * step + start
+    flat = _FLAT[e0:e1]
     z = np.empty(along.shape, dtype=complex)
-    z.real[flat], z.imag[flat] = along[flat], rects[:, [2, 3], None]
-    z.real[upright], z.imag[upright] = rects[:, [1, 0], None], along[upright]
-    dz = step.astype(complex)
-    dz[upright] *= 1j
-    return z, dz
+    z.real, z.imag = np.where(flat, along, fixed), np.where(flat, fixed, along)
+    return z, np.where(flat, step, step * 1j)
 
 
-def _exp_grid(w0: np.ndarray, dw: np.ndarray, n: int) -> np.ndarray:
-    """exp(w0 + k*dw) for k = 0..n-1 along the last axis of w0 and dw.
+def _exp_grid(w0: np.ndarray, dw: np.ndarray, m: int, k0: int,
+              length: int) -> list[np.ndarray]:
+    """exp(w0[i] + k*dw[i]) for k = k0..k0+length-1, one array per i.
 
-    With n a power of two and k = j*m + l, m about sqrt(n), the factors
-    exp(w0 + j*m*dw) and exp(l*dw) take n/m + m complex exps per row
-    instead of n.
+    k runs along the last axis of w0 and dw, and k = j*m + l comes out at
+    [..., j, l], so the factors exp(w0 + j*m*dw) and exp(l*dw) take
+    length/m + m complex exps per row instead of length.  k0 and length
+    are multiples of m, so a run of an edge gets the bits the whole edge
+    would.
     """
+    coarse = np.exp(w0 + np.arange(k0, k0 + length, m) * dw)[..., :, None]
+    fine = np.exp(np.arange(m) * dw)[..., None, :]
+    return [coarse[i] * fine[i] for i in range(len(coarse))]
+
+
+def _q_block(rects: np.ndarray, n: int, s0: int, span: int, lin,
+             p) -> np.ndarray:
+    """Q at boundary samples s0..s0+span-1 of each rectangle, shape (rects, span).
+
+    Sample e*n + k is sample k of edge e (see ``_boundary``).  A block is
+    whole rectangles (s0 = 0, span = 4n), whole edges, or a run of one
+    edge; n and span are powers of two.  exp(-tau*lambda) comes from
+    ``_exp_grid`` with m about sqrt(n) and w0 from the edge's first sample,
+    so every sample's value does not depend on the block it lies in.
+    """
+    e0, k0 = divmod(s0, n)
+    length = min(span, n)
+    e1 = e0 + span // length
+    k = np.arange(k0, k0 + length)
+    z, dz = _boundary(rects, n, e0, e1, k)
+    z0 = z[:, :, :1] if k0 == 0 else _boundary(rects, n, e0, e1,
+                                               np.arange(1))[0]
     m = 1 << (n.bit_length() - 1) // 2
-    coarse = np.exp(w0 + np.arange(0, n, m) * dw)
-    fine = np.exp(np.arange(m) * dw)
-    return (coarse[..., :, None] * fine[..., None, :]).reshape(
-        coarse.shape[:-1] + (n,))
+    # -tau, one row per distinct delay
+    taus = (p.tau1,) if p.tau1 == p.tau2 else (p.tau1, p.tau2)
+    neg = -np.array(taus)[:, None, None, None]
+    e = _exp_grid(neg * z0, neg * dz, m, k0, length)
+    q1, q2 = _factors(z.reshape(e[0].shape), e[0], e[-1], lin, p)
+    return np.multiply(q1, q2, out=q1).reshape(len(rects), span)
+
+
+def _blocks(rects: np.ndarray, n: int, lin, p):
+    """Yield (r, s0, ext): Q along the boundaries of rects, block by block.
+
+    Each block evaluates Q (``_q_block``) at ``SAMPLE_BUDGET`` boundary
+    samples at most: whole rectangles while 4n fits the budget, otherwise
+    one rectangle's boundary in runs of the budget, in order.  ext holds
+    the block's samples s0..s0+span-1 of rectangles r.., preceded by the
+    previous block's last sample of the same boundary and, after the
+    boundary's last block, followed by its sample 0 again: every pair of
+    consecutive boundary samples is a pair of columns of one ext.
+    """
+    span = min(4 * n, SAMPLE_BUDGET)
+    rows = max(1, SAMPLE_BUDGET // (4 * n))
+    for r in range(0, len(rects), rows):
+        seq = []
+        for s0 in range(0, 4 * n, span):
+            q = _q_block(rects[r:r + rows], n, s0, span, lin, p)
+            if s0 == 0:
+                first = q[:, :1].copy()
+            seq.append(q)
+            if s0 + span == 4 * n:
+                seq.append(first)
+            ext, seq = np.concatenate(seq, axis=1), [q[:, -1:].copy()]
+            del q  # no block's arrays outlive it, so the next reuses them
+            yield r, s0, ext
+            del ext
 
 
 def _phase_counts(rects: np.ndarray, n: int, lin, p):
@@ -146,42 +209,68 @@ def _phase_counts(rects: np.ndarray, n: int, lin, p):
 
     Returns the rounded winding sums, a mask of rectangles whose boundary
     meets a root (jitter), and a mask of rectangles whose phase steps all
-    stay within pi/2 (count accepted).
+    stay within pi/2 (count accepted); n is a power of two.
 
-    On each edge the samples are lambda_k = lambda_0 + k*step, so
-    exp(-tau*lambda_k) comes from ``_exp_grid`` with far fewer complex
-    exps than samples; n is a power of two.
+    Q is evaluated block by block (``_blocks``), so no temporary grows
+    with the number of rectangles or with n.  A rectangle whose boundary
+    spans several blocks carries across them its min and max |Q|, its
+    phase sum and its largest phase step; each block's samples come with
+    the step across the block boundary before them (which the real-axis
+    sign test also reads) and, in the last block, the wrap-around step.
+    Per-block phase sums may round differently from one sum, but a count
+    is used only when every step is within pi/2, where the sum lies within
+    about 4n*eps*pi of 2*pi*k, so no count moves.  The median of |Q| is
+    needed only where min |Q| is below 1e-12 of the max; only those
+    rectangles are evaluated again, to take it.
     """
-    z, dz = _boundary(rects, n)
-    # -tau, one row per distinct delay
-    taus = (p.tau1,) if p.tau1 == p.tau2 else (p.tau1, p.tau2)
-    neg = -np.array(taus)[:, None, None, None]
-    e = _exp_grid(neg * z[:, :, :1], neg * dz, n)
-    q1, q2 = _factors(z, e[0], e[-1], lin, p)
-    q = np.multiply(q1, q2, out=q1).reshape(len(rects), -1)
-    aq = np.abs(q)
+    parts = []  # per row block: min and max |Q|, phase sum, largest step
+    hit = np.zeros(len(rects), dtype=bool)
+    on_axis = rects[:, 2:] == 0.0  # bottom edge, top edge at im = 0
+    axis = on_axis.any()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r, s0, ext in _blocks(rects, n, lin, p):
+            rows = slice(r, r + len(ext))
+            aq = np.abs(ext)
+            ratio = ext[:, 1:] / ext[:, :-1]  # a zero sample is hit
+            dphi = np.arctan2(ratio.imag, ratio.real)
+            part = (aq.min(axis=1), aq.max(axis=1), dphi.sum(axis=1),
+                    np.abs(dphi).max(axis=1))
+            if s0:  # a later block of one rectangle's boundary
+                low, high, total, worst = parts.pop()
+                part = (np.minimum(low, part[0]), np.maximum(high, part[1]),
+                        total + part[2], np.maximum(worst, part[3]))
+            parts.append(part)
+            # Q has real coefficients, so it is real on the real axis: a
+            # sign change between two consecutive real samples is a root on
+            # the edge.  Such pairs start on a bottom (0) or top (2) edge at
+            # im = 0 and end at most on the next edge's first sample;
+            # ext[:, i] is boundary sample b + i.
+            b = s0 - 1 if s0 else 0
+            for c, edge in enumerate((0, 2) if axis else ()):
+                lo = max(edge * n - b, 0)
+                hi = min((edge + 1) * n - b, ext.shape[1] - 1)
+                sel = on_axis[rows, c].nonzero()[0] if lo < hi else ()
+                if len(sel):
+                    seg = ext[sel, lo:hi + 1].real
+                    hit[r + sel] |= (seg[:, :-1] * seg[:, 1:] < 0).any(axis=1)
+            del ext, aq, ratio, dphi  # before ``_blocks`` takes the next
+    low, high, total, worst = (parts[0] if len(parts) == 1 else
+                               map(np.concatenate, zip(*parts)))
     # a root on the boundary: min|Q| below 1e-12 of the median, which is
     # at most the max, so the median is taken only where the max allows it
-    low = aq.min(axis=1)
-    hit = low < 1e-12 * np.maximum(aq.max(axis=1), 1e-300)
-    rows = np.flatnonzero(hit)
-    if rows.size:
-        hit[rows] = low[rows] < 1e-12 * np.maximum(
-            np.median(aq[rows], axis=1), 1e-300)
-    # Q has real coefficients, so it is real on the real axis: a sign
-    # change between two consecutive real samples is a root on the edge.
-    # Such pairs lie on a bottom edge at im = 0 with the first sample of
-    # the right edge, or on a top edge at im = 0 with that of the left.
-    for col, first in ((2, 0), (3, 2 * n)):
-        rows = np.flatnonzero(rects[:, col] == 0.0)
-        if rows.size:
-            seg = q[rows, first:first + n + 1].real
-            hit[rows] |= (seg[:, :-1] * seg[:, 1:] < 0).any(axis=1)
-    nxt = np.concatenate((q[:, 1:], q[:, :1]), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dphi = np.angle(nxt / q)  # rows with a zero sample are already hit
-    ok = ~hit & (np.abs(dphi).max(axis=1) <= 0.5 * np.pi)
-    return np.rint(dphi.sum(axis=1) / (2.0 * np.pi)), hit, ok
+    near = low < 1e-12 * np.maximum(high, 1e-300)
+    if near.any():
+        rows = np.flatnonzero(near)
+        aq = np.empty((rows.size, 4 * n))
+        span = min(4 * n, SAMPLE_BUDGET)
+        for r, s0, ext in _blocks(rects[rows], n, lin, p):
+            j = 1 if s0 else 0  # ext's first sample of the block
+            aq[r:r + len(ext), s0:s0 + span] = np.abs(ext[:, j:j + span])
+        near[rows] = low[rows] < 1e-12 * np.maximum(
+            np.median(aq, axis=1, overwrite_input=True), 1e-300)
+    hit |= near
+    ok = ~hit & (worst <= 0.5 * np.pi)
+    return np.rint(total / (2.0 * np.pi)), hit, ok
 
 
 def _grown(rect: Rect, depth: int) -> Rect:
@@ -203,9 +292,9 @@ def _windings(rects: list[Rect], lin, p) -> list[int]:
     at n = 64, as it does when n = 8192 still fails.
 
     All rectangles climb their ladders together, breadth first: each
-    round groups the pending rectangles by n and evaluates them in
-    ``_phase_counts`` calls of at most ``WINDING_CHUNK * 64`` samples per
-    edge in total (one rectangle per call where n alone is larger).
+    round groups the pending rectangles by n and hands each group to one
+    ``_phase_counts`` call, which evaluates it in blocks of at most
+    ``SAMPLE_BUDGET`` boundary samples.
     """
     out = [0] * len(rects)
     pending = [(i, rect, 0, 64) for i, rect in enumerate(rects)]
@@ -215,22 +304,19 @@ def _windings(rects: list[Rect], lin, p) -> list[int]:
             by_n.setdefault(entry[3], []).append(entry)
         pending = []
         for n, group in by_n.items():
-            size = max(1, WINDING_CHUNK * 64 // n)
-            for start in range(0, len(group), size):
-                chunk = group[start:start + size]
-                counts, hit, ok = _phase_counts(
-                    np.array([rect for _, rect, _, _ in chunk]), n, lin, p)
-                for (i, rect, depth, _), c, jitter, accepted in zip(
-                        chunk, counts.tolist(), hit.tolist(), ok.tolist()):
-                    if accepted:
-                        out[i] = int(c)
-                    elif jitter or n == 8192:
-                        if depth >= _MAX_DEPTH:
-                            raise RuntimeError(
-                                "root scan: contour jitter depth exceeded")
-                        pending.append((i, _grown(rect, depth), depth + 1, 64))
-                    else:
-                        pending.append((i, rect, depth, 2 * n))
+            counts, hit, ok = _phase_counts(
+                np.array([rect for _, rect, _, _ in group]), n, lin, p)
+            for (i, rect, depth, _), c, jitter, accepted in zip(
+                    group, counts.tolist(), hit.tolist(), ok.tolist()):
+                if accepted:
+                    out[i] = int(c)
+                elif jitter or n == 8192:
+                    if depth >= _MAX_DEPTH:
+                        raise RuntimeError(
+                            "root scan: contour jitter depth exceeded")
+                    pending.append((i, _grown(rect, depth), depth + 1, 64))
+                else:
+                    pending.append((i, rect, depth, 2 * n))
     return out
 
 

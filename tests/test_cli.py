@@ -381,6 +381,20 @@ class TestRunScenario:
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == EXIT_INPUT
         assert capsys.readouterr().out == f"input error: {message}\n"
 
+    @pytest.mark.parametrize("value, shown", [(None, "None"),
+                                              (["a", "b"], "['a', 'b']")],
+                             ids=["null", "list"])
+    def test_output_dir_must_be_a_string(self, tmp_path, monkeypatch, capsys,
+                                         value, shown):
+        # without --out the run writes into outputs.dir, relative to the cwd
+        cfg = _write_config(tmp_path / "c.yaml", {
+            "params": CASE2, "horizon": 1.0, "outputs": {"dir": value}})
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", cfg]) == EXIT_INPUT
+        assert capsys.readouterr().out == (
+            f"input error: outputs.dir must be a string, got {shown}\n")
+        assert [f.name for f in tmp_path.iterdir()] == ["c.yaml"]
+
     @pytest.mark.parametrize("section, value, message", [
         ("outputs", [1, 2], "'outputs' must be a mapping, got [1, 2]"),
         ("solver", [1], "'solver' must be a mapping, got [1]"),

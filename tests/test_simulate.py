@@ -525,7 +525,10 @@ class TestIntegrate:
         ((0.1, 0.1), 10 ** 308, f"step 0.01 / {10 ** 308} = 1e-310 is too "
                                 f"short for tau_min = 0.1"),
         ((0.1, 0.1), 0, "step divisor must be positive, got 0"),
-    ], ids=["step_underflows", "tau_min_over_step_overflows", "zero_divisor"])
+        ((0.1, 0.1), 10 ** 400, f"step 0.01 / {10 ** 400} = 0.0 is too "
+                                f"short for tau_min = 0.1"),
+    ], ids=["step_underflows", "tau_min_over_step_overflows", "zero_divisor",
+            "divisor_beyond_float"])
     def test_unrepresentable_default_step_is_domain_error(self, taus, divisor,
                                                           message):
         p = derive_params(r=1, K=1, c1=1, c2=1, d1=1.5, d2=1, b1=3, b2=1,

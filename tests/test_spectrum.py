@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,12 @@ def _reference_root_scan(lin, p, region=None, grid=(8, 8)):
     return polished, residuals, rightmost, counts
 
 
+def _benchmark_pool():
+    """The spectrum_certify pool of perfbench/reference.json."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    return json.loads(path.read_text())["spectrum_certify"]["pool"]
+
+
 def _parity_cases():
     rng = np.random.default_rng(31)
     p2 = derive_params(r=1.0, K=1.0, c1=1.0, c2=1.0, d1=1.5, d2=1.0,
@@ -317,12 +324,22 @@ class TestRootScanParity:
         grown = next(i for i, z in enumerate(calls) if z.imag.min() < 0.0)
         assert grown == 8  # n = 64, 128, ..., 8192
 
-    def test_windings_match_reference_on_random_rectangles(self):
+    def test_windings_match_reference_on_random_rectangles(self,
+                                                            monkeypatch):
         # 200 rectangles over two parameter sets: free ones, ones with a
         # horizontal edge on the real axis, and ones with an edge 1e-7 to
-        # 1e-3 from a root
+        # 1e-3 from a root; the near ones climb to rungs whose boundary
+        # takes several blocks of the sampler
         rng = np.random.default_rng(73)
         checked = 0
+        walked = []  # (n, rectangles) of the multi-block rungs
+        phase_counts = spectrum._phase_counts
+
+        def recording(rects, n, lin, p):
+            if 4 * n > spectrum.SAMPLE_BUDGET:
+                walked.append((n, len(rects)))
+            return phase_counts(rects, n, lin, p)
+
         for p in (random_stable_params(rng), random_unstable_params(rng)):
             lin = linearize(p)
             roots = root_scan(lin, p).roots
@@ -344,33 +361,165 @@ class TestRootScanParity:
                            z.imag - gap - h if side == 3 else
                            z.imag - rng.uniform(0.0, h))
                 rects.append((re0, re0 + w, im0, im0 + h))
-            counts = spectrum._windings(rects, lin, p)
+            with monkeypatch.context() as patched:
+                patched.setattr(spectrum, "_phase_counts", recording)
+                counts = spectrum._windings(rects, lin, p)
             assert counts == [_reference_winding(r, lin, p) for r in rects]
             checked += sum(c != 0 for c in counts)
         assert checked >= 20
+        assert {n for n, _ in walked} == {2048, 4096, 8192}
+        assert sum(rows for n, rows in walked if n == 2048) >= 20
 
     @pytest.mark.parametrize("taus, grid, max_calls", [
         ((0.1, 0.1), (8, 8), 14), ((0.3, 0.05), (8, 8), 12),
-        ((0.1, 0.1), (12, 10), 11)])
+        ((0.1, 0.1), (12, 10), 11),
+        # pool set 182, whose ladder climbs to n = 8192
+        pytest.param(None, (8, 8), 26, id="pool182")])
     def test_batched_ladder_work(self, taus, grid, max_calls, monkeypatch):
-        # README rates; the depth-first scan with only the first sampling
-        # batched made 27, 25 and 20 calls
-        p = derive_params(r=1.0, K=1.0, c1=1.0, c2=1.0, d1=1.5, d2=1.0,
-                          b1=3.0, b2=1.0, tau1=taus[0], tau2=taus[1])
+        # README rates unless taus is None; the depth-first scan with only
+        # the first sampling batched made 27, 25 and 20 calls
+        if taus is None:
+            p = derive_params(**_benchmark_pool()[182]["params"])
+        else:
+            p = derive_params(r=1.0, K=1.0, c1=1.0, c2=1.0, d1=1.5, d2=1.0,
+                              b1=3.0, b2=1.0, tau1=taus[0], tau2=taus[1])
         lin = linearize(p)
-        shapes = []
-        phase_counts = spectrum._phase_counts
+        shapes, blocks = [], []
+        phase_counts, q_block = spectrum._phase_counts, spectrum._q_block
 
         def recording(rects, n, lin, p):
             shapes.append((len(rects), n))
             return phase_counts(rects, n, lin, p)
 
+        def recording_block(rects, n, s0, span, lin, p):
+            blocks.append((len(rects), span))
+            return q_block(rects, n, s0, span, lin, p)
+
         monkeypatch.setattr(spectrum, "_phase_counts", recording)
+        monkeypatch.setattr(spectrum, "_q_block", recording_block)
         report = root_scan(lin, p, grid=grid)
         assert report.roots
-        assert all(rows * n <= spectrum.WINDING_CHUNK * 64
-                   for rows, n in shapes), shapes
+        assert all(rows * span <= spectrum.SAMPLE_BUDGET
+                   for rows, span in blocks), blocks
         assert len(shapes) <= max_calls, shapes
+        if taus is None:
+            assert max(n for _, n in shapes) == 8192
+
+
+def _unblocked_phase_counts(rects, n, lin, p):
+    """``_phase_counts`` on one evaluation of every boundary sample."""
+    q = spectrum._q_block(rects, n, 0, 4 * n, lin, p)
+    aq = np.abs(q)
+    hit = aq.min(axis=1) < 1e-12 * np.maximum(np.median(aq, axis=1), 1e-300)
+    for col, first in ((2, 0), (3, 2 * n)):
+        seg = q[:, first:first + n + 1].real
+        hit |= (rects[:, col] == 0.0) & (seg[:, :-1] * seg[:, 1:] < 0).any(
+            axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dphi = np.angle(np.roll(q, -1, axis=1) / q)
+    ok = ~hit & (np.abs(dphi).max(axis=1) <= 0.5 * np.pi)
+    return np.rint(dphi.sum(axis=1) / (2.0 * np.pi)), hit, ok
+
+
+def _seam_rects(p, lin):
+    """Unit squares with a root at a seam between blocks of the sampler.
+
+    The roots are those of the fish factor on and above the real axis;
+    a is 1/8192 of an edge, the sample spacing at the top rung, where a
+    boundary is walked in blocks of 4096 samples.
+    """
+    real, upper = (complex(lambertw(p.e2 * p.c2 * lin.y0 * p.tau2
+                                    * math.exp(p.d2 * p.tau2), j))
+                   / p.tau2 - p.d2 for j in (0, 1))
+    x, a, gap = real.real, 1.0 / 8192, 1e-9
+    return np.array([
+        # just left of the first sample, below the last one: only the
+        # wrap-around step is large, at every rung
+        (upper.real + gap, upper.real + gap + 1.0,
+         upper.imag - 0.5 * a, upper.imag - 0.5 * a + 1.0),
+        # just below the bottom edge, midway between its samples 4095 and
+        # 4096, where the top rung starts a new block
+        (upper.real - 4095.5 * a, upper.real + 4096.5 * a,
+         upper.imag + gap, upper.imag + gap + 1.0),
+        # a real root on the real-axis bottom edge at that seam, and one
+        # between its last sample and the corner, a seam from n = 4096 up
+        (x - 4095.5 * a, x + 4096.5 * a, 0.0, 1.0),
+        (x - 1.0 + 0.5 * a, x + 0.5 * a, 0.0, 1.0),
+        # min |Q| below 1e-12 of the max, so the median is taken
+        (-200.0, 1.0, 3.0, 4.0),
+        (-200.0, 1.0, 0.0, 4.0),
+    ])
+
+
+class TestSampleBlocks:
+    """The sampler walks a boundary in blocks and changes no result."""
+
+    @pytest.mark.parametrize("n", [64 << k for k in range(8)])
+    def test_phase_counts_match_one_unblocked_evaluation(self, case2_lin, n):
+        lin, p = case2_lin
+        rects = _seam_rects(p, lin)
+        counts, hit, ok = spectrum._phase_counts(rects, n, lin, p)
+        ref_counts, ref_hit, ref_ok = _unblocked_phase_counts(rects, n, lin, p)
+        assert hit.tolist() == ref_hit.tolist()
+        assert ok.tolist() == ref_ok.tolist()
+        assert counts[ok].tolist() == ref_counts[ref_ok].tolist()
+
+    def test_seams_are_sampled_where_intended(self, case2_lin):
+        # the wrap-around and the across-block steps are the only ones
+        # above pi/2, and the two real-axis rectangles change sign
+        lin, p = case2_lin
+        rects = _seam_rects(p, lin)
+        n = 8192
+        q = spectrum._q_block(rects, n, 0, 4 * n, lin, p)
+        big = np.abs(np.angle(np.roll(q, -1, axis=1) / q)) > 0.5 * np.pi
+        assert np.flatnonzero(big[0]).tolist() == [4 * n - 1]
+        assert np.flatnonzero(big[1]).tolist() == [4095]
+        for row, k in ((2, 4095), (3, n - 1)):
+            assert q[row, k].real * q[row, k + 1].real < 0.0
+
+    @pytest.mark.parametrize("n", [1024, 2048, 4096, 8192])
+    def test_blocks_keep_every_sample_bit_for_bit(self, case2_lin,
+                                                  monkeypatch, n):
+        lin, p = case2_lin
+        rects = _seam_rects(p, lin)[:3]
+        blocks = []
+        q_block = spectrum._q_block
+
+        def recording(rects, n, s0, span, lin, p):
+            q = q_block(rects, n, s0, span, lin, p)
+            blocks.append((rects, s0, q))
+            return q
+
+        monkeypatch.setattr(spectrum, "_q_block", recording)
+        spectrum._phase_counts(rects, n, lin, p)
+        whole = q_block(rects, n, 0, 4 * n, lin, p)
+        covered = np.zeros(whole.shape, dtype=int)
+        for block, s0, q in blocks:
+            assert q.size <= spectrum.SAMPLE_BUDGET
+            rows = [np.flatnonzero((rects == rect).all(axis=1))[0]
+                    for rect in block]
+            part = whole[rows, s0:s0 + q.shape[1]]
+            assert part.tobytes() == q.tobytes()
+            covered[rows, s0:s0 + q.shape[1]] += 1
+        assert (covered == 1).all()
+
+    @pytest.mark.parametrize("rows, n", [(1, 8192), (64, 64)])
+    def test_peak_stays_within_the_block_budget(self, case2_lin, rows, n):
+        # twelve complex temporaries of one block (768 KiB); one call held
+        # 4.2 MB (one rectangle at n = 8192) and 2.1 MB (64 at n = 64) when
+        # it evaluated the whole group at once
+        lin, p = case2_lin
+        rects = np.array([(-3.0 + 0.01 * k, -1.0, 2.0, 5.0)
+                          for k in range(rows)])
+        spectrum._phase_counts(rects, n, lin, p)  # first call's imports
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            spectrum._phase_counts(rects, n, lin, p)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 16 * spectrum.SAMPLE_BUDGET
 
 
 class TestMirrorRule:
