@@ -31,6 +31,9 @@ from .model import ModelParams, plankton_only_point
 
 POSITIVITY_TOL = 1e-9
 _CSV_CHUNK = 1024  # trajectory rows per block: one writer pass of 4096 values
+# largest run stored, at 48 bytes per step (a state and a derivative):
+# 1 GiB holds 22.4 M steps
+TRAJECTORY_BUDGET_BYTES = 1 << 30
 
 
 class History:
@@ -337,9 +340,13 @@ def integrate(p: ModelParams, hist: History, t_end: float,
     zero delay's coupling term is local and is evaluated in the loop
     from the stage state.
 
-    It takes n = ceil(t_end / step) steps of length t_end / n: a horizon
-    shorter than one step runs one step of that length, and a step count
-    t_end / step or a delay / step that overflows raises DomainError.
+    It takes n = ceil(t_end / step) steps of length t_end / n, where a
+    quotient at most four ulps above a whole count is that count: a
+    horizon shorter than one step runs one step of that length, and a
+    step count t_end / step or a delay / step that overflows raises
+    DomainError, as does a run whose 48 * (n + 1) bytes of nodes and
+    derivatives exceed ``TRAJECTORY_BUDGET_BYTES``.  A block's nodes are
+    checked for finiteness through its last computed node.
     """
     h_target = default_step(p) if step is None else float(step)
     if not (t_end > 0.0 and h_target > 0.0):
@@ -347,20 +354,26 @@ def integrate(p: ModelParams, hist: History, t_end: float,
     if p.tau_min and h_target > p.tau_min / 20.0 * (1.0 + 1e-12):
         raise DomainError(f"step {h_target} exceeds smallest positive "
                           f"delay / 20 = {p.tau_min / 20.0}")
-    steps = t_end / h_target - 1e-12
+    steps = t_end / h_target
     if math.isinf(steps):
         raise DomainError(f"horizon {t_end!r} / step {h_target!r} overflows "
                           f"the step count")
-    n = max(1, math.ceil(steps))
+    n = max(1, math.ceil(steps - 4.0 * math.ulp(steps)))
     h = t_end / n
     if math.isinf(p.tau_max / h):
         raise DomainError(f"step {h!r} is too short for the delay "
                           f"{p.tau_max!r} (delay / step overflows)")
-    block = math.floor(p.tau_min / h) - 2 if p.tau_min else n + 1
+    if 48 * (n + 1) > TRAJECTORY_BUDGET_BYTES:
+        raise DomainError(f"{n:.6g} steps of size {h:g} cannot be stored "
+                          f"(the budget of {TRAJECTORY_BUDGET_BYTES} bytes "
+                          f"holds {TRAJECTORY_BUDGET_BYTES // 48 - 1} steps)")
+    block = min(math.floor(p.tau_min / h) - 2, n + 1) if p.tau_min else n + 1
 
     r, K, c1, c2 = p.r, p.K, p.c1, p.c2
     md1, md2 = -p.d1, -p.d2
-    tau1, tau2 = p.tau1, p.tau2
+    # the loop tests these bools, not the delays: a bool jumps by
+    # identity, a float calls float.__bool__
+    lag1, lag2 = p.tau1 > 0.0, p.tau2 > 0.0
     ec1, ec2 = p.e1 * c1, p.e2 * c2
     hh, h6 = 0.5 * h, h / 6.0
     try:
@@ -373,51 +386,62 @@ def integrate(p: ModelParams, hist: History, t_end: float,
     states[0] = hist(0.0)
     x, y, z = states[0].tolist()
     stencils = {tau: _stencil(tau, h) for tau in {p.tau_min, p.tau_max} if tau}
+    none = [[None] * block] * 3  # a zero delay's rows; zip stops at i1 - i0
 
     # Indices run to n inclusive so that the last block also yields
     # derivs[n]; the state it computes past t_end is discarded.
-    for i0 in range(0, n + 1, block):
-        i1 = min(i0 + block, n + 1)
-        # delayed coupling terms e1*c1*x*y and e2*c2*y*z at t - tau,
-        # t + h/2 - tau and t + h - tau, one plane each; equal delays
-        # share one lookup, and a zero delay's rows are placeholders
-        none = [[None] * (i1 - i0)] * 3
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, n + 1, block):
+            i1 = min(i0 + block, n + 1)
+            # delayed coupling terms e1*c1*x*y and e2*c2*y*z at t - tau,
+            # t + h/2 - tau and t + h - tau, one plane each; equal delays
+            # share one lookup
             u = {tau: _delayed(states, derivs, h, hist, tau, st, i0, i1)
                  for tau, st in stencils.items()}
-            u1, u2 = u.get(tau1), u.get(tau2)
-            w1 = (ec1 * u1[..., 0] * u1[..., 1]).tolist() if tau1 else none
-            w2 = (ec2 * u2[..., 1] * u2[..., 2]).tolist() if tau2 else none
-        ks, nodes = [], []
-        put_k, put_node = ks.extend, nodes.extend
-        for f1, f1h, f11, f2, f2h, f21 in zip(*w1, *w2):
-            a1 = r * x * (1.0 - x / K) - c1 * x * y
-            b1 = md1 * y + (f1 if tau1 else ec1 * x * y) - c2 * y * z
-            g1 = md2 * z + (f2 if tau2 else ec2 * y * z)
-            xs, ys, zs = x + hh * a1, y + hh * b1, z + hh * g1
-            a2 = r * xs * (1.0 - xs / K) - c1 * xs * ys
-            b2 = md1 * ys + (f1h if tau1 else ec1 * xs * ys) - c2 * ys * zs
-            g2 = md2 * zs + (f2h if tau2 else ec2 * ys * zs)
-            xs, ys, zs = x + hh * a2, y + hh * b2, z + hh * g2
-            a3 = r * xs * (1.0 - xs / K) - c1 * xs * ys
-            b3 = md1 * ys + (f1h if tau1 else ec1 * xs * ys) - c2 * ys * zs
-            g3 = md2 * zs + (f2h if tau2 else ec2 * ys * zs)
-            xs, ys, zs = x + h * a3, y + h * b3, z + h * g3
-            a4 = r * xs * (1.0 - xs / K) - c1 * xs * ys
-            b4 = md1 * ys + (f11 if tau1 else ec1 * xs * ys) - c2 * ys * zs
-            g4 = md2 * zs + (f21 if tau2 else ec2 * ys * zs)
-            put_k((a1, b1, g1))
-            x = x + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            y = y + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            z = z + h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-            put_node((x, y, z))
-        flat_derivs[3 * i0:3 * i1] = ks
-        m = min(i1, n) - i0
-        flat_states[3 * i0 + 3:3 * (i0 + 1 + m)] = nodes[:3 * m]
-        bad = ~np.isfinite(states[i0 + 1:i0 + 1 + m]).all(axis=1)
-        if bad.any():
-            i = i0 + int(np.argmax(bad))
-            raise IntegrationError(f"non-finite state at t = {i * h + h:g}")
+            u1, u2 = u.get(p.tau1), u.get(p.tau2)
+            w1 = (ec1 * u1[..., 0] * u1[..., 1]).tolist() if lag1 else none
+            w2 = (ec2 * u2[..., 1] * u2[..., 2]).tolist() if lag2 else none
+            ks, nodes = [], []
+            put_k, put_node = ks.extend, nodes.extend
+            for f1, f1h, f11, f2, f2h, f21 in zip(*w1, *w2):
+                a1 = r * x * (1.0 - x / K) - c1 * x * y
+                b1 = md1 * y + (f1 if lag1 else ec1 * x * y) - c2 * y * z
+                g1 = md2 * z + (f2 if lag2 else ec2 * y * z)
+                xs, ys, zs = x + hh * a1, y + hh * b1, z + hh * g1
+                a2 = r * xs * (1.0 - xs / K) - c1 * xs * ys
+                b2 = md1 * ys + (f1h if lag1 else ec1 * xs * ys) - c2 * ys * zs
+                g2 = md2 * zs + (f2h if lag2 else ec2 * ys * zs)
+                xs, ys, zs = x + hh * a2, y + hh * b2, z + hh * g2
+                a3 = r * xs * (1.0 - xs / K) - c1 * xs * ys
+                b3 = md1 * ys + (f1h if lag1 else ec1 * xs * ys) - c2 * ys * zs
+                g3 = md2 * zs + (f2h if lag2 else ec2 * ys * zs)
+                xs, ys, zs = x + h * a3, y + h * b3, z + h * g3
+                a4 = r * xs * (1.0 - xs / K) - c1 * xs * ys
+                b4 = md1 * ys + (f11 if lag1 else ec1 * xs * ys) - c2 * ys * zs
+                g4 = md2 * zs + (f21 if lag2 else ec2 * ys * zs)
+                put_k((a1, b1, g1))
+                x = x + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                y = y + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                z = z + h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+                put_node((x, y, z))
+            flat_derivs[3 * i0:3 * i1] = ks
+            if i1 > n:  # the last block's final node lies past t_end
+                del nodes[-3:]
+            flat_states[3 * i0 + 3:3 * i0 + 3 + len(nodes)] = nodes
+            # A non-finite component stays non-finite: each new component
+            # adds its old value, no stage divides by a state, and inf and
+            # nan survive +, -, * and division by the finite K.  So a block
+            # holds a non-finite node only if its last computed node is
+            # non-finite, and only then is it scanned for the first one (in
+            # the last block that node lies past t_end and the scan may
+            # find none).
+            if not (math.isfinite(x) and math.isfinite(y)
+                    and math.isfinite(z)):
+                bad = ~np.isfinite(states[i0 + 1:i0 + 1 + len(nodes) // 3])
+                if bad.any():
+                    i = i0 + int(np.argmax(bad.any(axis=1)))
+                    raise IntegrationError(
+                        f"non-finite state at t = {i * h + h:g}")
     return Trajectory(p, hist, h, states, derivs)
 
 

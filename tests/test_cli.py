@@ -252,7 +252,8 @@ class TestRunScenario:
             f"got {horizon!r}\n")
         assert not any((tmp_path / "out").iterdir())
 
-    # 2e303 and 1e23 steps: more than numpy can shape, so nothing is allocated
+    # 2e303 and 1e23 steps: far over the step budget, refused before any
+    # allocation
     @pytest.mark.parametrize("extra, steps", [
         ({"horizon": 1e300}, "2e+303 steps of size 0.0005"),
         ({"horizon": 1.0, "solver": {"step_divisor": 10 ** 21}},
@@ -267,6 +268,17 @@ class TestRunScenario:
         captured = capsys.readouterr()
         assert f"input error: {steps} cannot be stored" in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    def test_step_budget_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # horizon 1 is 2000 steps of 0.0005, 48 * 2001 bytes
+        monkeypatch.setattr(simulate, "TRAJECTORY_BUDGET_BYTES", 48 * 2000)
+        tree = {"params": CASE2, "horizon": 1.0,
+                "outputs": {"dir": str(tmp_path / "out")}}
+        cfg = _write_config(tmp_path / "c.yaml", tree)
+        assert main(["run", cfg]) == EXIT_INPUT
+        assert capsys.readouterr().out == (
+            "input error: 2000 steps of size 0.0005 cannot be stored (the "
+            "budget of 96000 bytes holds 1999 steps)\n")
 
     # CASE2 has step 0.0005: a fifth of a step up to four steps; the zero
     # offsets start at the equilibrium, where V is rounding noise

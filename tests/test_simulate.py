@@ -36,8 +36,8 @@ def _reference_integrate(p, hist, t_end, step=None):
     k = i + floor(off - tau/h) plus the fraction u, or the history at the
     stage time when k < 0.
     """
-    n = math.ceil(t_end / (default_step(p) if step is None else step)
-                  - 1e-12)
+    steps = t_end / (default_step(p) if step is None else step)
+    n = math.ceil(steps - 4.0 * math.ulp(steps))
     h = t_end / n
     r, K, c1, c2 = p.r, p.K, p.c1, p.c2
     d1, d2, e1, e2 = p.d1, p.d2, p.e1, p.e2
@@ -624,7 +624,29 @@ class TestIntegrate:
             integrate(case2_params, hist, 50.0)
         assert str(raised.value) == message
 
-    # step counts whose arrays numpy refuses to shape: no allocation is tried
+    def test_non_finite_state_in_a_later_block(self):
+        # h*d2 = 2.795 lies just outside RK4's stability interval; the
+        # first bad node, 711, is in the fourth block of 198 steps
+        p = derive_params(r=1.0, K=1.0, c1=1.0, c2=1.0, d1=1.5, d2=5590.0,
+                          b1=3.0, b2=1.0, tau1=0.1, tau2=0.1)
+        hist = History.constant(p, (0.5, 0.3, 0.2))
+        message = "non-finite state at t = 0.3555"
+        with pytest.raises(IntegrationError) as expected:
+            _reference_integrate(p, hist, 5.0)
+        assert str(expected.value) == message
+        with pytest.raises(IntegrationError) as raised:
+            integrate(p, hist, 5.0)
+        assert str(raised.value) == message
+
+    def test_on_grid_horizon_keeps_the_default_step(self):
+        # 16.01 / 0.0005 rounds to 32020.000000000004
+        p = _readme_params()
+        assert 16.01 / default_step(p) > 32020
+        traj = integrate(p, History.constant(p, (0.5, 0.3, 0.2)), 16.01)
+        assert traj.step == default_step(p)
+        assert traj.states.shape == (32021, 3)
+
+    # step counts far over the step budget: no allocation is tried
     @pytest.mark.parametrize("t_end, step", [(1e300, None), (1.0, 1e-21)])
     def test_unstorable_step_count_is_domain_error(self, case2_params, t_end,
                                                    step):
@@ -645,6 +667,25 @@ class TestIntegrate:
         assert str(raised.value) == ("2000 steps of size 0.0005 cannot be "
                                      "stored (Unable to allocate 48 PiB)")
 
+    def test_step_budget_is_checked_before_allocation(self, case2_params,
+                                                      monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("np.zeros reached")
+
+        # 2000 steps need 48 * 2001 bytes
+        monkeypatch.setattr(simulate, "TRAJECTORY_BUDGET_BYTES", 48 * 2001 - 1)
+        zeros = simulate.np.zeros
+        monkeypatch.setattr(simulate.np, "zeros", unreachable)
+        hist = History.equilibrium_plus_constant(case2_params, (0.01, 0.0, 0.0))
+        with pytest.raises(DomainError) as raised:
+            integrate(case2_params, hist, 1.0)
+        assert str(raised.value) == ("2000 steps of size 0.0005 cannot be "
+                                     "stored (the budget of 96047 bytes holds "
+                                     "1999 steps)")
+        monkeypatch.setattr(simulate.np, "zeros", zeros)
+        monkeypatch.setattr(simulate, "TRAJECTORY_BUDGET_BYTES", 48 * 2001)
+        assert integrate(case2_params, hist, 1.0).states.shape == (2001, 3)
+
     def test_deterministic_rerun(self, case2_params):
         hist = History.equilibrium_plus_sine(case2_params, (0.02, 0.01, 0.0),
                                              2.0)
@@ -652,6 +693,35 @@ class TestIntegrate:
         b = integrate(case2_params, hist, 3.0)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.derivs, b.derivs)
+
+
+class TestTimeRescaling:
+    """Rates times k and times over k give x(k t): bit for bit at k = 2^j.
+
+    The products c*tau, and so e1 and e2, do not change, the step count
+    and every tau/h stay the same, and each rate or time product scales
+    by a power of two exactly.
+    """
+
+    @pytest.mark.parametrize("k", [2.0, 4.0, 0.5])
+    @pytest.mark.parametrize("taus", [(0.1, 0.07), (0.1, 0.1234), (0.0, 0.1)],
+                             ids=["on_mesh", "off_mesh", "zero_delay"])
+    @pytest.mark.parametrize("preset", ["constant",
+                                        "equilibrium_plus_constant"])
+    def test_states_equal_and_derivatives_scale(self, k, taus, preset):
+        def run(k):
+            p = derive_params(r=1.0 * k, K=1.0, c1=1.0 * k, c2=1.0 * k,
+                              d1=1.5 * k, d2=1.0 * k, b1=3.0, b2=1.0,
+                              tau1=taus[0] / k, tau2=taus[1] / k)
+            offsets = (0.5, 0.3, 0.2) if preset == "constant" else (
+                1.0e-2, 5.0e-3, 1.0e-2)
+            hist = getattr(History, preset)(p, offsets)
+            return integrate(p, hist, 5.0 / k, step=0.0005 / k)
+
+        base, scaled = run(1.0), run(k)
+        assert scaled.step == base.step / k
+        assert np.array_equal(scaled.states, base.states)
+        assert np.array_equal(scaled.derivs, k * base.derivs)
 
 
 class TestDenseOutput:
