@@ -1,8 +1,10 @@
 """Scenario configuration and the classify/certify/simulate/verify pipeline.
 
 A scenario is a YAML key/value tree; every field has a default except
-``params``.  ``run_scenario`` emits the full set of audit files and maps
-outcomes onto documented exit codes:
+``params``.  ``run_scenario`` reads the parameters and history and
+integrates before it emits the audit files, so exit 4 writes no file
+unless an output itself cannot be written.  It maps outcomes onto
+documented exit codes:
 
     0  all requested checks passed
     2  certificate or theorem inadmissible (reported, not an error)
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -207,7 +208,7 @@ class RunResult:
     ``verdict`` is the lemma's verdict kind, or ``"inapplicable"`` when
     the lemma does not apply; it is None when the run stopped before the
     lemma.  ``error`` holds the message of an input error (exit code 4),
-    whether it came before the verdict or after it.
+    which comes before the verdict and before any file is written.
     """
     code: int
     files: dict[str, Path]
@@ -258,8 +259,10 @@ def _text(lines):
 def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
     """Run classify -> certify -> simulate -> verify on a loaded scenario.
 
-    Every output passes one gate, ``emit``; every path ends in ``finish``.
-    An output that cannot be made or written raises ConfigError.
+    It reads the parameters and history and integrates before any output,
+    so an input error writes no file.  Every output passes one gate,
+    ``emit``; every path ends in ``finish``.  An output that cannot be
+    made or written raises ConfigError.
     """
     out = Path(out_dir) if out_dir is not None else Path(scenario.out_dir)
     with _writing():
@@ -281,13 +284,15 @@ def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
         return result
 
     try:
-        p = derive_params(**scenario.params)
-        step = default_step(p, scenario.step_divisor)
-    except (ParameterError, DomainError, TypeError) as exc:
+        try:
+            p = derive_params(**scenario.params)
+        except TypeError as exc:  # an unknown or missing rate name
+            raise ParameterError(exc) from None
+        hist = build_history(scenario, p)
+        traj = integrate(p, hist, scenario.horizon,
+                         step=default_step(p, scenario.step_divisor))
+    except (ParameterError, DomainError, ConfigError, IntegrationError) as exc:
         return finish(EXIT_INPUT, exc)
-    if not 0.0 < scenario.horizon < math.inf:
-        return finish(EXIT_INPUT, f"horizon must be positive and finite, "
-                                  f"got {scenario.horizon!r}")
 
     eq = classify_equilibria(p)
     lines = [f"case: {eq.case_id}"]
@@ -318,12 +323,6 @@ def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
         lines = [f"certificate not constructed: {exc}"]
     emit("certificate", _text(lines))
 
-    try:
-        hist = build_history(scenario, p)
-    except ConfigError as exc:
-        return finish(EXIT_INPUT, exc)
-    # the admissibility conditions read only the initial data, so they
-    # are reported even when the integration fails
     if cert is not None:
         theorem = result.theorem = verify.check_initial_conditions(
             hist, verify.extend_history(hist, p), cert, p)
@@ -331,10 +330,6 @@ def run_loaded_scenario(scenario: Scenario, out_dir=None) -> RunResult:
             failed = [name for name, c in theorem.conditions.items()
                       if not c.passed]
             inadmissible = f"condition(s) {', '.join(failed)} failed"
-    try:
-        traj = integrate(p, hist, scenario.horizon, step=step)
-    except (DomainError, IntegrationError) as exc:
-        return finish(EXIT_INPUT, exc)
     emit("trajectory", lambda path: traj.to_csv(path, stride=scenario.stride))
 
     positivity = check_positivity_boundedness(traj, p)

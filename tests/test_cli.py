@@ -618,10 +618,13 @@ EXIT_PATHS = {
                         EXIT_INADMISSIBLE, NOT_VERIFICATION),
     "history": ({"history": {"preset": "equilibrium_plus_constant",
                              "offsets": [-5.0, 0.0, 0.0]}},
-                EXIT_INPUT, ("equilibria", "certificate")),
+                EXIT_INPUT, ()),
     "integration": ({"history": {"preset": "equilibrium_plus_constant",
                                  "offsets": [1e200, 0.0, 0.0]}},
-                    EXIT_INPUT, ("equilibria", "certificate")),
+                    EXIT_INPUT, ()),
+    "step budget": ({"horizon": 1e300}, EXIT_INPUT, ()),
+    "delay over step": ({"params": dict(CASE2, tau1=1e-300,
+                                        tau2=1e300)}, EXIT_INPUT, ()),
     "parameters": ({"params": dict(CASE2, r=-1.0)}, EXIT_INPUT, ()),
     "horizon": ({"horizon": 0.0}, EXIT_INPUT, ()),
 }

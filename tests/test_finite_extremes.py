@@ -15,7 +15,10 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from planktonfish.certificate import build_certificate
 from planktonfish.cli import main
+from planktonfish.errors import CertificateError, DomainError
+from planktonfish.model import derive_params
 from planktonfish.scenario import (EXIT_INADMISSIBLE, EXIT_INPUT, EXIT_OK,
                                    EXIT_VIOLATION, load_scenario,
                                    run_loaded_scenario)
@@ -48,15 +51,13 @@ ROWS = {
     # the coexistence threshold's divisor e2*c2*r underflows to 0
     "r=b2=1e-310": (dict(r=1e-310, b2=1e-310), HORIZON, EXIT_INADMISSIBLE,
                     "verdict: AsymptoticallyStable"),
-    # the rate m1 overflows; so does horizon / step
+    # horizon / step overflows (so does the certificate's rate m1, see
+    # CERTIFICATE_ROWS)
     "tau1=1e-310": (dict(tau1=1e-310), HORIZON, EXIT_INPUT,
-                    "rate m1 = inf is not positive and finite"),
-    # a square beyond float range in build_certificate; the run's states
-    # then overflow too
+                    "horizon 0.001 / step 5e-312 overflows the step count"),
+    # the states overflow (so does a square in build_certificate)
     "r=d2=1e200,b2=1e-300": (dict(r=1e200, d2=1e200, b2=1e-300), HORIZON,
-                             EXIT_INPUT, "not representable in floating "
-                                         "point (Numerical result out of "
-                                         "range)"),
+                             EXIT_INPUT, "non-finite state at t = 0.0005"),
     # horizon / step overflows in integrate
     "horizon=1e308": ({}, 1e308, EXIT_INPUT,
                       "horizon 1e+308 / step 0.0005 overflows"),
@@ -80,6 +81,25 @@ def test_reproducer_exits_cleanly(tmp_path, capsys, rates, horizon, code,
     assert message in out + "".join(f.read_text() for f in files)
 
 
+# rates whose run stops at the integration, before the certificate, and
+# the message build_certificate refuses them with
+CERTIFICATE_ROWS = {
+    "tau1=1e-310": (dict(tau1=1e-310),
+                    "rate m1 = inf is not positive and finite"),
+    "r=d2=1e200,b2=1e-300": (dict(r=1e200, d2=1e200, b2=1e-300),
+                             "not representable in floating point "
+                             "(Numerical result out of range)"),
+}
+
+
+@pytest.mark.parametrize("rates, message", CERTIFICATE_ROWS.values(),
+                         ids=list(CERTIFICATE_ROWS))
+def test_certificate_refuses_overflow(rates, message):
+    with pytest.raises(CertificateError) as raised:
+        build_certificate(derive_params(**dict(README, **rates)))
+    assert message in str(raised.value)
+
+
 @pytest.fixture(scope="module")
 def readme_scenario(tmp_path_factory):
     return load_scenario(_config(
@@ -99,13 +119,19 @@ EXTREME = st.floats(-1074.0, math.log2(1.7e308)).map(lambda e: 2.0 ** e)
 @example(rates=dict(r=1e200, d2=1e200, b2=1e-300))
 @example(rates=dict(b2=7.2e-221))  # beta overflows
 def test_extreme_rates_exit_cleanly(readme_scenario, rates):
-    result = run_loaded_scenario(dataclasses.replace(
-        readme_scenario, params=dict(README, **rates)))
+    params = dict(README, **rates)
+    result = run_loaded_scenario(dataclasses.replace(readme_scenario,
+                                                     params=params))
     assert result.code in (EXIT_OK, EXIT_INADMISSIBLE, EXIT_VIOLATION,
                            EXIT_INPUT)
-    # a certificate that is built holds finite scalars
-    cert = result.cert
-    assert cert is None or all(map(math.isfinite, (
+    # a certificate that is built holds finite scalars, also for rates
+    # whose run stops at the integration, before the certificate
+    try:
+        cert = build_certificate(derive_params(**params),
+                                 readme_scenario.options)
+    except (CertificateError, DomainError):
+        return
+    assert all(map(math.isfinite, (
         cert.beta, cert.q, cert.sigma, cert.epsilon, cert.m1, cert.m2)))
 
 

@@ -495,6 +495,23 @@ class TestIntegrate:
             with pytest.raises(DomainError):
                 call(case2_params, hist)
 
+    @pytest.mark.parametrize("t_end, step, message", [
+        (0.0, None, "horizon must be positive and finite, got 0.0"),
+        (-1.0, None, "horizon must be positive and finite, got -1.0"),
+        (math.nan, None, "horizon must be positive and finite, got nan"),
+        (math.inf, None, "horizon must be positive and finite, got inf"),
+        (-math.inf, None, "horizon must be positive and finite, got -inf"),
+        (1.0, 0.0, "step must be positive, got 0.0"),
+        (1.0, math.nan, "step must be positive, got nan"),
+    ], ids=["t_end=0", "t_end=-1", "t_end=nan", "t_end=inf", "t_end=-inf",
+            "step=0", "step=nan"])
+    def test_horizon_and_step_messages(self, case2_params, t_end, step,
+                                       message):
+        hist = History.equilibrium_plus_constant(case2_params, (0.01, 0.0, 0.0))
+        with pytest.raises(DomainError) as raised:
+            integrate(case2_params, hist, t_end, step=step)
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("t_end", [1e-16, 1e-300])
     def test_horizon_below_one_step_runs_one_step(self, case2_params, t_end):
         hist = History.equilibrium_plus_constant(case2_params, (0.01, 0.0, 0.0))
@@ -807,7 +824,7 @@ def _bit_pattern(values) -> bytes:
 
 class TestRecordedExtrema:
     @pytest.mark.parametrize("kind", ["negative", "signed_zeros", "zeros",
-                                      "negative_zeros"])
+                                      "negative_zeros", "zero_columns"])
     def test_extrema_equal_a_scan_of_the_states(self, case2_params, kind):
         rng = np.random.default_rng(5)
         states = {
@@ -816,6 +833,11 @@ class TestRecordedExtrema:
                                       [1.5, -0.0, 0.0]]),
             "zeros": np.zeros((4, 3)),
             "negative_zeros": np.full((4, 3), -0.0),
+            # all-zero columns of both signs, long enough for a vectorised
+            # reduction: +0 first, -0 first, and a random mix
+            "zero_columns": np.column_stack((
+                np.resize([0.0, -0.0], 100), np.resize([-0.0, 0.0], 100),
+                np.where(rng.random(100) < 0.5, 0.0, -0.0))),
         }[kind]
         hist = History.constant(case2_params, (0.1, 0.1, 0.1))
         traj = simulate.Trajectory(case2_params, hist, 0.01, states,
